@@ -12,7 +12,6 @@ from .definetti import (
     ExchangeableSample,
     InconsistentInputsError,
     KeyIdentityResult,
-    NoiseConfig,
     estimate_mixing,
     key_identity_mc,
     lln_statistic,
@@ -63,7 +62,6 @@ __all__ = [
     "MixingMeasure",
     "MonotonicityReport",
     "NNLSConvergenceError",
-    "NoiseConfig",
     "PointSet",
     "PsdReport",
     "RadialProfile",

@@ -9,8 +9,11 @@ stdout and a short human summary to stderr, and exits with:
 
 Randomized commands default to the documented seed 1938 unless ``--ci`` is
 given, in which case ``--seed`` must be passed explicitly. ``--threads``
-falls back to the SCHOENBERG_LAB_THREADS environment variable, then to the
-machine's CPU count; results are independent of the thread count.
+falls back to the SCHOENBERG_LAB_THREADS environment variable, then to one
+thread: certify's trials are small LAPACK calls plus Python that the
+interpreter lock serialises, so extra threads make it slower. Results are
+independent of the thread count. Every report records ``stream_version``,
+the version of the seeded random streams that produced it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import time
 import numpy as np
 
 from . import definetti, measures, monotonicity, profiles, psd, recover
+from .rng import STREAM_VERSION
 
 DEFAULT_SEED = 1938
 
@@ -48,6 +52,7 @@ def emit_report(command: str, config: dict, results: dict, passed: bool | None,
                 started: float) -> None:
     report = {
         "command": command,
+        "stream_version": STREAM_VERSION,
         "config": _jsonable(config),
         "results": _jsonable(results),
         "pass": passed,
@@ -71,7 +76,7 @@ def _resolve_threads(args) -> int:
     env = os.environ.get("SCHOENBERG_LAB_THREADS")
     if env:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    return 1
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -80,7 +85,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ci", action="store_true",
                         help="require an explicit --seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: SCHOENBERG_LAB_THREADS or CPU count)")
+                        help="worker threads (default: SCHOENBERG_LAB_THREADS or 1)")
 
 
 def cmd_certify(args) -> int:

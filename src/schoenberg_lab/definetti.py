@@ -11,6 +11,13 @@ identity checker compares the two Monte Carlo estimates of
 with X_i i.i.d. centered Gaussians of standard deviation t, which both
 converge to f(t) as n grows.
 
+Every replicated statistic depends on its n Gaussian draws only through
+sum Z_i^2, whose law is exactly chi-square with n degrees of freedom, so
+each replicate draws that one number instead of n normals: the LLN
+statistic is S chi^2_n / n, the left side f(t sqrt(chi^2_n / n)) and the
+right side exp(-t^2 S chi^2_n / (2n)). ``sample_exchangeable`` still draws
+coordinate by coordinate because it returns the sequence itself.
+
 All simulated statistics are finite by construction; the degenerate
 infinite-limit event has no finite-sample counterpart here.
 """
@@ -25,10 +32,6 @@ import numpy as np
 from .measures import MixingMeasure, draw_scales, mixture_laplace
 from .profiles import RadialProfile
 from .rng import ROLE_LHS, ROLE_NOISE, ROLE_RHS, ROLE_SAMPLE, ROLE_SCALE, substream
-
-# Replicates are drawn in fixed-size blocks; the layout is part of the
-# seeded stream definition and must not change.
-_CHUNK = 8192
 
 CONSISTENCY_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
 CONSISTENCY_TOL = 0.02
@@ -56,22 +59,6 @@ class ExchangeableSample:
     @property
     def n(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Parameters of the Gaussian probe sequence X_i."""
-
-    t: float
-    n: int
-    reps: int
-    seed: int
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("t must be positive")
-        if self.n < 1 or self.reps < 1:
-            raise ValueError("n and reps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -137,14 +124,9 @@ def lln_statistic(sample: ExchangeableSample) -> float:
 
 
 def _lln_values(measure: MixingMeasure, n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """reps independent draws of the LLN statistic, in fixed chunks."""
+    """reps independent draws of the LLN statistic S chi^2_n / n."""
     scales = draw_scales(measure, reps, rng)
-    out = np.empty(reps)
-    for start in range(0, reps, _CHUNK):
-        stop = min(start + _CHUNK, reps)
-        z = rng.standard_normal((stop - start, n))
-        out[start:stop] = scales[start:stop] * np.mean(np.square(z), axis=1)
-    return out
+    return scales * rng.chisquare(n, reps) / n
 
 
 def estimate_mixing(measure: MixingMeasure, n: int = 1000, reps: int = 100_000,
@@ -199,25 +181,18 @@ def key_identity_mc(profile: RadialProfile, measure: MixingMeasure, t: float,
     measure. The two streams are independent substreams of ``seed``; the
     comparison is an equality of expectations, not a pathwise coupling.
     """
-    NoiseConfig(t=t, n=n, reps=reps, seed=seed)  # validates the probe parameters
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if n < 1 or reps < 1:
+        raise ValueError("n and reps must be >= 1")
     check_profile_measure_match(profile, measure)
 
-    lhs_rng = substream(seed, ROLE_LHS)
-    lhs_vals = np.empty(reps)
-    for start in range(0, reps, _CHUNK):
-        stop = min(start + _CHUNK, reps)
-        x = lhs_rng.standard_normal((stop - start, n)) * t
-        lhs_vals[start:stop] = profile(np.sqrt(np.mean(np.square(x), axis=1)))
+    lhs_chi2 = substream(seed, ROLE_LHS).chisquare(n, reps)
+    lhs_vals = profile(t * np.sqrt(lhs_chi2 / n))
 
     rhs_rng = substream(seed, ROLE_RHS)
     rhs_scales = draw_scales(measure, reps, rhs_rng)
-    rhs_vals = np.empty(reps)
-    factor = -0.5 * t * t / n
-    for start in range(0, reps, _CHUNK):
-        stop = min(start + _CHUNK, reps)
-        z = rhs_rng.standard_normal((stop - start, n))
-        sum_sq = rhs_scales[start:stop] * np.sum(np.square(z), axis=1)
-        rhs_vals[start:stop] = np.exp(factor * sum_sq)
+    rhs_vals = np.exp(-0.5 * t * t * rhs_scales * rhs_rng.chisquare(n, reps) / n)
 
     return KeyIdentityResult(
         lhs=float(lhs_vals.mean()),

@@ -141,11 +141,8 @@ def mixture_cf(mixture: GaussianScaleMixture, x) -> float:
 
 def profile_from_measure(measure: MixingMeasure) -> RadialProfile:
     """The radial profile t -> mixture_laplace(nu, t) as a RadialProfile."""
-    return RadialProfile(
-        label=f"mixture[{measure.label}]",
-        fn=lambda t: np.exp(-0.5 * np.multiply.outer(np.square(t), measure.scales))
-        @ measure.weights,
-    )
+    return RadialProfile(label=f"mixture[{measure.label}]",
+                         fn=lambda t: mixture_laplace(measure, t))
 
 
 def draw_scales(measure: MixingMeasure, count: int, rng: np.random.Generator) -> np.ndarray:

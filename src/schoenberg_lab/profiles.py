@@ -135,17 +135,33 @@ def tabulated_profile(t_nodes, f_nodes, label: str = "tabulated") -> RadialProfi
     return RadialProfile(label, lambda t: np.maximum(0.0, interp(t)), t_max=float(t_nodes[-1]))
 
 
-def profile_from_csv(path) -> RadialProfile:
-    """Load a tabulated profile from a two-column CSV with header ``t,f``."""
+def read_tf_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The (t, f) columns of a CSV with header ``t,f`` and at least one data row.
+
+    Blank lines are skipped; a row with fewer than two columns is an error.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:2]] != ["t", "f"]:
             raise ValueError(f"{path}: expected header 't,f', got {header!r}")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < 2:
+                raise ValueError(f"{path}, line {reader.line_num}: "
+                                 f"expected two columns t,f, got {row!r}")
+            rows.append((float(row[0]), float(row[1])))
     if not rows:
         raise ValueError(f"{path}: no data rows")
     t, f = map(np.asarray, zip(*rows))
+    return t, f
+
+
+def profile_from_csv(path) -> RadialProfile:
+    """Load a tabulated profile from a two-column CSV with header ``t,f``."""
+    t, f = read_tf_csv(path)
     return tabulated_profile(t, f, label=str(path))
 
 

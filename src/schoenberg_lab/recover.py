@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import MixingMeasure, mixture_laplace
+from .profiles import read_tf_csv
 
 PENALTY_FACTOR = 1e3
 PRUNE_THRESHOLD = 1e-12
@@ -81,15 +82,7 @@ class RecoveryProblem:
     def from_csv(cls, path, s_grid=None, normalize_mass: bool = True,
                  ridge: float = 0.0) -> "RecoveryProblem":
         """Load (t, f) samples from a CSV with header ``t,f``."""
-        import csv
-
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header[:2]] != ["t", "f"]:
-                raise ValueError(f"{path}: expected header 't,f', got {header!r}")
-            rows = [(float(r[0]), float(r[1])) for r in reader if r]
-        t, f = map(np.asarray, zip(*rows))
+        t, f = read_tf_csv(path)
         return cls(t, f, s_grid if s_grid is not None else default_s_grid(),
                    normalize_mass=normalize_mass, ridge=ridge)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from schoenberg_lab import cli
+from schoenberg_lab.rng import STREAM_VERSION
 
 
 def run_cli(capsys, *argv):
@@ -222,8 +223,22 @@ def test_console_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["command"] == "certify"
+    assert payload["stream_version"] == STREAM_VERSION
     assert payload["results"]["verdict"] == "certified"
     assert proc.stderr.strip()  # human summary on stderr
+
+
+@pytest.mark.parametrize("command", ["certify", "decompose"])
+@pytest.mark.parametrize("content", ["t,f\n0,1\n0.5\n1,0.4\n", "t,f\n"],
+                         ids=["short-row", "header-only"])
+def test_malformed_profile_csv_is_usage_error(capsys, tmp_path, command, content):
+    path = tmp_path / "profile.csv"
+    path.write_text(content)
+    code, payload, err = run_cli(capsys, command, str(path), "--seed", "1")
+    assert code == 1
+    assert payload is None
+    assert err.startswith("error: ")
+    assert str(path) in err
 
 
 def test_exit_codes_stay_in_contract(capsys):
