@@ -40,7 +40,6 @@ from .profiles import (
 )
 from .psd import PointSet, PsdReport, certify_psd, gram_matrix, min_eigenvalue, quadratic_form
 from .recover import (
-    NNLSConvergenceError,
     RecoveryProblem,
     RecoveryResult,
     design_matrix,
@@ -61,7 +60,6 @@ __all__ = [
     "KeyIdentityResult",
     "MixingMeasure",
     "MonotonicityReport",
-    "NNLSConvergenceError",
     "PointSet",
     "PsdReport",
     "RadialProfile",

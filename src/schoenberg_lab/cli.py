@@ -139,7 +139,6 @@ def cmd_decompose(args) -> int:
         "measure": result.measure.to_dict(),
         "diagnostics": {
             "residual_norm": result.residual_norm,
-            "iterations": result.iterations,
             "mass_deficit": result.mass_deficit,
         },
     }
@@ -237,6 +236,8 @@ def cmd_consistency(args) -> int:
 def cmd_cm_check(args) -> int:
     started = time.monotonic()
     profile = profiles.resolve_profile(args.profile)
+    if not args.u_step > 0:  # also rejects nan
+        raise ValueError("--u-step must be positive")
     u_grid = np.arange(args.u_min, args.u_max + 1e-12, args.u_step)
     report = monotonicity.complete_monotonicity_check(
         profile, max_order=args.max_order, u_grid=u_grid, h=args.h)

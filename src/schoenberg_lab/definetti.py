@@ -136,6 +136,8 @@ def estimate_mixing(measure: MixingMeasure, n: int = 1000, reps: int = 100_000,
     As n and reps grow this estimates the mixing measure itself: each
     replicate's statistic concentrates at its latent scale.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if reps < 100:
         raise ValueError("reps must be >= 100")
     return EmpiricalMeasure(_lln_values(measure, n, reps, substream(seed, ROLE_SAMPLE)))

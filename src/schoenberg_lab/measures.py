@@ -122,12 +122,17 @@ class GaussianScaleMixture:
             raise ValueError("dimension must be >= 1")
 
 
+def design_matrix(t_grid, s_grid) -> np.ndarray:
+    """A[j, k] = exp(-t_j^2 s_k / 2); the row for t = 0 is all ones."""
+    return np.exp(-0.5 * np.multiply.outer(np.square(t_grid), s_grid))
+
+
 def mixture_laplace(measure: MixingMeasure, t) -> np.ndarray | float:
     """sum_k w_k exp(-t^2 s_k / 2) for t >= 0 (scalar or array)."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    out = np.exp(-0.5 * np.multiply.outer(np.square(t), measure.scales)) @ measure.weights
+    out = design_matrix(t, measure.scales) @ measure.weights
     return float(out) if t.ndim == 0 else out
 
 

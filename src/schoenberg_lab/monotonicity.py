@@ -54,6 +54,8 @@ def complete_monotonicity_check(profile: RadialProfile, max_order: int = 8,
     if u_grid is None:
         u_grid = np.arange(0.1, 4.0 + 1e-12, 0.05)
     u_grid = np.asarray(u_grid, dtype=float)
+    if u_grid.size == 0:
+        raise ValueError("u grid must be nonempty")
     if np.any(u_grid <= 0):
         raise ValueError("u grid must be strictly positive")
     u_top = float(u_grid.max() + max_order * h)

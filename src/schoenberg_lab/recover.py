@@ -5,9 +5,10 @@ nonnegative solution of the discretized transform equations
 
     sum_k exp(-t_j^2 s_k / 2) w_k  =  f(t_j),
 
-an inverse Laplace-type problem solved here by active-set nonnegative least
-squares. The problem is severely ill-conditioned: pointwise atom recovery is
-not achievable and the comparison metrics (W1, KS) are deliberately weak.
+an inverse Laplace-type problem solved here by nonnegative least squares
+with scipy's Lawson-Hanson active-set solver (``scipy.optimize.nnls``).
+The problem is severely ill-conditioned: pointwise atom recovery is not
+achievable and the comparison metrics (W1, KS) are deliberately weak.
 Mass normalization is enforced with a heavily weighted penalty row followed
 by exact renormalization.
 """
@@ -17,21 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.optimize
 
-from .measures import MixingMeasure, mixture_laplace
+from .measures import MixingMeasure, design_matrix, mixture_laplace
 from .profiles import read_tf_csv
 
 PENALTY_FACTOR = 1e3
 PRUNE_THRESHOLD = 1e-12
-
-
-class NNLSConvergenceError(RuntimeError):
-    """Iteration cap exceeded; carries the best iterate found so far."""
-
-    def __init__(self, message: str, best: np.ndarray, iterations: int):
-        super().__init__(message)
-        self.best = best
-        self.iterations = iterations
 
 
 def default_t_grid() -> np.ndarray:
@@ -72,8 +65,8 @@ class RecoveryProblem:
             raise ValueError("f values must lie in [0, 1]")
         if np.any(s <= 0) or np.any(np.diff(s) <= 0):
             raise ValueError("s_grid must be strictly increasing and positive")
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
+        if not (np.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError("ridge must be finite and nonnegative")
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "f_values", f)
         object.__setattr__(self, "s_grid", s)
@@ -91,80 +84,29 @@ class RecoveryProblem:
 class RecoveryResult:
     measure: MixingMeasure
     residual_norm: float  # RMS over t_grid of the final measure's misfit
-    iterations: int
     mass_deficit: float  # |1 - sum w| of the raw solution, before renormalization
 
 
-def design_matrix(t_grid, s_grid) -> np.ndarray:
-    """A[j, k] = exp(-t_j^2 s_k / 2); the row for t = 0 is all ones."""
-    t = np.asarray(t_grid, dtype=float)
-    s = np.asarray(s_grid, dtype=float)
-    return np.exp(-0.5 * np.outer(np.square(t), s))
+def nnls(A, b, ridge: float = 0.0) -> tuple[np.ndarray, float]:
+    """Solve min ||Aw - b||^2 + ridge ||w||^2 subject to w >= 0.
 
-
-def nnls(A, b, ridge: float = 0.0, max_iter: int | None = None) -> tuple[np.ndarray, int]:
-    """Lawson-Hanson active-set solve of min ||Aw - b||^2 + ridge ||w||^2, w >= 0.
-
-    Returns (w, iterations). The returned w is exactly nonnegative (active
-    set, not projection) and satisfies the KKT conditions to within
-    10 * eps * max(m, n) * ||A||_1 * ||r||_inf, far inside the contract
-    bound of 1e-10 * ||A^T b||. Raises :class:`NNLSConvergenceError` with
-    the best iterate attached when the iteration cap (default 10 * cols)
-    is exceeded.
+    The ridge enters as sqrt(ridge) * I rows stacked under A. Returns
+    scipy.optimize.nnls's (w, rnorm) on the stacked problem; scipy raises
+    RuntimeError when its iteration cap is exceeded.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != len(b):
         raise ValueError(f"shape mismatch: A is {A.shape}, b has length {len(b)}")
     if ridge > 0:
-        A = np.vstack([A, np.sqrt(ridge) * np.eye(A.shape[1])])
-        b = np.concatenate([b, np.zeros(A.shape[1])])
-    m, n = A.shape
-    if max_iter is None:
-        max_iter = 10 * n
-    eps = np.finfo(float).eps
-    grad_scale = 10.0 * max(m, n) * eps * np.linalg.norm(A, 1)
-
-    w = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    residual = b.copy()
-    grad = A.T @ residual
-    objective = float(residual @ residual)
-    iterations = 0
-    while True:
-        tol = grad_scale * max(float(np.abs(residual).max(initial=0.0)), eps)
-        candidates = np.where(passive, -np.inf, grad)
-        j = int(np.argmax(candidates))
-        if candidates[j] <= tol:
-            return w, iterations
-        passive[j] = True
-        while True:
-            if iterations >= max_iter:
-                raise NNLSConvergenceError(
-                    f"NNLS did not converge within {max_iter} iterations",
-                    best=w, iterations=iterations,
-                )
-            iterations += 1
-            trial = np.zeros(n)
-            trial[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
-            if trial[passive].min() > 0:
-                w = trial
-                break
-            # step toward the unconstrained solution until a weight hits zero
-            blocking = passive & (trial <= 0)
-            step = float(np.min(w[blocking] / (w[blocking] - trial[blocking])))
-            w = w + step * (trial - w)
-            passive &= w > 0
-            w[~passive] = 0.0
-        residual = b - A @ w
-        new_objective = float(residual @ residual)
-        if new_objective > objective * (1.0 - 1e-13):
-            return w, iterations  # no numerically meaningful progress left
-        objective = new_objective
-        grad = A.T @ residual
+        m, n = A.shape
+        A = np.concatenate([A, np.zeros((n, n))])
+        np.fill_diagonal(A[m:], np.sqrt(ridge))
+        b = np.concatenate([b, np.zeros(n)])
+    return scipy.optimize.nnls(A, b)
 
 
-def recover_mixing(problem: RecoveryProblem, max_iter: int | None = None) -> RecoveryResult:
+def recover_mixing(problem: RecoveryProblem) -> RecoveryResult:
     """Solve the inverse problem and package the result as a MixingMeasure.
 
     With ``normalize_mass`` a penalty row of ones, weighted by
@@ -181,7 +123,7 @@ def recover_mixing(problem: RecoveryProblem, max_iter: int | None = None) -> Rec
         penalty = PENALTY_FACTOR * float(np.abs(A).max())
         rows = np.vstack([A, penalty * np.ones((1, A.shape[1]))])
         rhs = np.concatenate([problem.f_values, [penalty]])
-    w, iterations = nnls(rows, rhs, ridge=problem.ridge, max_iter=max_iter)
+    w, _ = nnls(rows, rhs, ridge=problem.ridge)
 
     keep = w > PRUNE_THRESHOLD
     if not np.any(keep):
@@ -192,8 +134,7 @@ def recover_mixing(problem: RecoveryProblem, max_iter: int | None = None) -> Rec
     measure = MixingMeasure(scales, weights / weights.sum(), label="recovered")
     fitted = mixture_laplace(measure, problem.t_grid)
     residual = float(np.sqrt(np.mean(np.square(fitted - problem.f_values))))
-    return RecoveryResult(measure=measure, residual_norm=residual,
-                          iterations=iterations, mass_deficit=deficit)
+    return RecoveryResult(measure=measure, residual_norm=residual, mass_deficit=deficit)
 
 
 # --- measure comparison ---------------------------------------------------

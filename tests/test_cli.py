@@ -250,6 +250,7 @@ def test_exit_codes_stay_in_contract(capsys):
         ("decompose", "triangle"),
         ("simulate", "delta:1", "--n", "100", "--reps", "200", "--seed", "1"),
         ("simulate", "bad-spec"),
+        ("cm-check", "gaussian", "--u-step", "0"),
     ]
     for argv in invocations:
         code = cli.main(list(argv))

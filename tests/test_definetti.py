@@ -99,6 +99,12 @@ class TestEstimateMixing:
         b = estimate_mixing(exponential_measure(), n=50, reps=500, seed=7)
         np.testing.assert_array_equal(a.values, b.values)
 
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            estimate_mixing(dirac(1.0), n=0, reps=200)
+        with pytest.raises(ValueError, match="reps must be >= 100"):
+            estimate_mixing(dirac(1.0), n=10, reps=99)
+
 
 class TestEmpiricalMeasure:
     def test_cdf_and_support(self):

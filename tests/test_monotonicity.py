@@ -66,3 +66,5 @@ def test_rejects_bad_arguments():
         complete_monotonicity_check(f, h=0.0)
     with pytest.raises(ValueError):
         complete_monotonicity_check(f, u_grid=np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="nonempty"):
+        complete_monotonicity_check(f, u_grid=np.array([]))
