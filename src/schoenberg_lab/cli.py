@@ -100,6 +100,7 @@ def cmd_certify(args) -> int:
         "verdict": report.verdict,
         "min_eigenvalue": report.min_eigenvalue,
         "trials_run": report.trials_run,
+        "trials_skipped": report.trials_skipped,
         "tolerance": report.tolerance,
     }
     if report.refuted:

@@ -43,9 +43,14 @@ def complete_monotonicity_check(profile: RadialProfile, max_order: int = 8,
                                 epsilon: float | None = None) -> MonotonicityReport:
     """Check g(u) = f(sqrt(u)) for complete monotonicity up to ``max_order``.
 
-    Passes iff every alternating difference is >= -epsilon, with epsilon
-    defaulting to 1e-10 * max|g| over the grid. Raises for tabulated
-    profiles whose domain is shorter than u + max_order * h.
+    Order m fails when an alternating difference is below
+    -(epsilon + 2^m * eps * max|g|), with epsilon defaulting to
+    1e-10 * max|g| over the grid and eps the float64 machine epsilon. The
+    second term bounds the rounding error of the m-th difference, a sum of
+    m + 1 values of g whose binomial weights total 2^m; it adds
+    6e-14 * max|g| at the default order 8 and keeps high orders of
+    completely monotone profiles from failing on cancellation. Raises for
+    tabulated profiles whose domain is shorter than u + max_order * h.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -68,15 +73,17 @@ def complete_monotonicity_check(profile: RadialProfile, max_order: int = 8,
     def g(u):
         return profile(np.sqrt(u))
 
+    g_max = float(np.abs(g(u_grid)).max())
     if epsilon is None:
-        epsilon = 1e-10 * float(np.abs(g(u_grid)).max())
+        epsilon = 1e-10 * g_max
 
     worst: list[tuple[int, float]] = []
     first_fail = None
     for m in range(max_order + 1):
         value = float(alternating_differences(g, u_grid, h, m).min())
         worst.append((m, value))
-        if first_fail is None and value < -epsilon:
+        rounding = 2.0 ** m * np.finfo(float).eps * g_max
+        if first_fail is None and value < -(epsilon + rounding):
             first_fail = m
     return MonotonicityReport(
         worst_by_order=worst,

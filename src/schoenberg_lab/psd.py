@@ -69,6 +69,7 @@ class PsdReport:
     verdict: str  # "certified" | "refuted" | "inconclusive"
     witness: tuple[np.ndarray, float] | None
     trials_run: int
+    trials_skipped: int  # of trials_run, left a tabulated profile's domain
 
     @property
     def certified(self) -> bool:
@@ -81,12 +82,13 @@ class PsdReport:
 
 def gram_matrix(profile: RadialProfile, point_set: PointSet) -> np.ndarray:
     """G[i, j] = f(||x_i - x_j||); exactly symmetric, unit diagonal."""
-    pts = point_set.points
-    if pts.shape[0] == 1:
-        return np.array([[float(profile(0.0))]])
-    values = profile(pdist(pts))
+    return _gram(profile(pdist(point_set.points)), float(profile(0.0)))
+
+
+def _gram(values: np.ndarray, f0: float) -> np.ndarray:
+    """Symmetric matrix from condensed off-diagonal ``values``, f0 on the diagonal."""
     gram = squareform(values)
-    np.fill_diagonal(gram, float(profile(0.0)))
+    np.fill_diagonal(gram, f0)
     return gram
 
 
@@ -144,6 +146,11 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     A trial refutes when lambda_min < -tol * max(1, ||G||_2); the report
     then carries the offending eigenvector as witness. Results are
     identical for any ``threads`` value.
+
+    Half the trials test fixed-span lattices, whose configuration depends
+    on the drawn point count alone; each such lattice is solved once per
+    call and its outcome reused. ``trials_skipped`` counts the trials whose
+    configuration left a tabulated profile's domain; they are not evaluated.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -151,16 +158,19 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         raise ValueError("k_max must be >= 2")
     if dim < 1:
         raise ValueError("dimension must be >= 1")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
-    def run_trial(index: int):
-        rng = substream(seed, ROLE_TRIAL, index)
-        kind = index % _N_KINDS
-        k = int(rng.integers(2, k_max + 1))
-        pts = _candidate_points(kind, dim, k, box_halfwidth, rng)
-        try:
-            gram = gram_matrix(profile, PointSet(pts))
-        except ValueError:
+    f0 = float(profile(0.0))
+    # (kind, k) -> outcome of a fixed-span lattice trial. Worker threads may
+    # race to solve the same key; both store the same outcome.
+    solved = {}
+
+    def solve(pts: np.ndarray):
+        dist = pdist(pts)
+        if profile.t_max is not None and dist.max() > profile.t_max:
             return None  # configuration outside a tabulated profile's domain
+        gram = _gram(profile.fn(dist), f0)
         eigvals = np.linalg.eigvalsh(gram)
         lam_min = float(eigvals[0])
         norm = float(max(abs(eigvals[0]), abs(eigvals[-1])))
@@ -169,20 +179,30 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         if lam_min < threshold:
             _, vecs = np.linalg.eigh(gram)
             witness = vecs[:, 0]
-        return pts, lam_min, threshold, witness
+        return pts, lam_min, witness
+
+    def run_trial(index: int):
+        rng = substream(seed, ROLE_TRIAL, index)
+        kind = index % _N_KINDS
+        k = int(rng.integers(2, k_max + 1))
+        if kind not in (_KIND_LATTICE_2D, _KIND_LATTICE_1D):
+            return solve(_candidate_points(kind, dim, k, box_halfwidth, rng))
+        if (kind, k) not in solved:
+            solved[kind, k] = solve(_candidate_points(kind, dim, k, box_halfwidth, rng))
+        return solved[kind, k]
 
     chunk = 64
     global_min = np.inf
     global_min_pts = None
-    evaluated = 0
+    skipped = 0
     for start in range(0, trials, chunk):
         count = min(start + chunk, trials) - start
         results = parallel_map(lambda i: run_trial(start + i), count, threads)
         for offset, res in enumerate(results):
             if res is None:
+                skipped += 1
                 continue
-            evaluated += 1
-            pts, lam_min, threshold, witness = res
+            pts, lam_min, witness = res
             if lam_min < global_min:
                 global_min = lam_min
                 global_min_pts = pts
@@ -195,8 +215,9 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
                     verdict="refuted",
                     witness=(witness, quadratic_form(gram, witness)),
                     trials_run=start + offset + 1,
+                    trials_skipped=skipped,
                 )
-    if evaluated == 0:
+    if skipped == trials:
         return PsdReport(
             point_set=PointSet(np.zeros((1, dim))),
             min_eigenvalue=np.nan,
@@ -204,6 +225,7 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
             verdict="inconclusive",
             witness=None,
             trials_run=trials,
+            trials_skipped=skipped,
         )
     return PsdReport(
         point_set=PointSet(global_min_pts),
@@ -212,4 +234,5 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         verdict="certified",
         witness=None,
         trials_run=trials,
+        trials_skipped=skipped,
     )

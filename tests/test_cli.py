@@ -256,3 +256,7 @@ def test_exit_codes_stay_in_contract(capsys):
         code = cli.main(list(argv))
         capsys.readouterr()
         assert code in (0, 1, 2)
+    # a tolerance that voids the verdict is a usage error, not a certification
+    code = cli.main(["certify", "triangle", "--dim", "2", "--tol", "nan"])
+    capsys.readouterr()
+    assert code == 1

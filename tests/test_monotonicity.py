@@ -41,6 +41,13 @@ def test_exp_mixture_passes_with_diff_oracle():
     assert report.passed
 
 
+@pytest.mark.parametrize("profile_id", ["gaussian", "cauchy", "exp-mixture"])
+def test_high_orders_tolerate_cancellation(profile_id):
+    # without the 2^m rounding bound these fail at orders 22-23
+    report = complete_monotonicity_check(catalog_profile(profile_id), max_order=30)
+    assert report.passed
+
+
 def test_triangle_fails_by_order_three():
     report = complete_monotonicity_check(catalog_profile("triangle"), max_order=8)
     assert not report.passed

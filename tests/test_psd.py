@@ -21,7 +21,10 @@ from schoenberg_lab import (
     min_eigenvalue,
     profile_from_measure,
     quadratic_form,
+    tabulated_profile,
 )
+from schoenberg_lab.psd import _N_KINDS, _candidate_points
+from schoenberg_lab.rng import ROLE_TRIAL, substream
 
 
 class TestGramMatrix:
@@ -174,3 +177,46 @@ class TestCertify:
             certify_psd(f, dim=2, k_max=1)
         with pytest.raises(ValueError):
             certify_psd(f, dim=0)
+        for tol in (np.nan, -1.0, np.inf):
+            with pytest.raises(ValueError, match="tol"):
+                certify_psd(f, dim=2, tol=tol)
+
+    def test_reports_skipped_trials(self):
+        t = np.linspace(0.0, 1.0, 101)
+        tabulated = tabulated_profile(t, 1.0 - t)
+        report = certify_psd(tabulated, dim=2, trials=200, k_max=64, seed=3)
+        assert report.trials_skipped > report.trials_run / 2
+        report = certify_psd(catalog_profile("cauchy"), dim=2, trials=200, k_max=64, seed=3)
+        assert report.trials_skipped == 0
+
+    def test_matches_trial_by_trial_oracle(self):
+        # oracle: rebuild every trial's configuration from its own substream
+        # and solve it through the public Gram and eigenvalue functions
+        f = catalog_profile("gaussian")
+        seed, trials, k_max = 11, 200, 12
+        report = certify_psd(f, dim=3, trials=trials, k_max=k_max, seed=seed)
+        configs, lams = [], []
+        for i in range(trials):
+            rng = substream(seed, ROLE_TRIAL, i)
+            k = int(rng.integers(2, k_max + 1))
+            pts = _candidate_points(i % _N_KINDS, 3, k, 3.0, rng)
+            configs.append(pts)
+            lams.append(min_eigenvalue(gram_matrix(f, PointSet(pts))))
+        assert report.certified
+        assert report.min_eigenvalue == min(lams)
+        np.testing.assert_array_equal(report.point_set.points, configs[int(np.argmin(lams))])
+
+    def test_each_lattice_solved_once(self, monkeypatch):
+        # half the trials are fixed-span lattices: at most k_max - 1 distinct
+        # configurations per lattice kind
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        report = certify_psd(catalog_profile("gaussian"), dim=3, trials=1000, k_max=12, seed=5)
+        assert report.certified
+        assert len(calls) <= 500 + 2 * 11
