@@ -1,19 +1,22 @@
 """Command-line front end.
 
-Each subcommand wraps one library operation, prints a single JSON report to
-stdout and a short human summary to stderr, and exits with:
+Each subcommand wraps one library operation and returns its results, its
+pass flag and a one-line summary; ``main`` prints them as a single JSON
+report on stdout and the summary on stderr, and exits with:
 
 * 0 - pass / certified,
-* 2 - refuted or failed check,
+* 2 - refuted, inconclusive or failed check,
 * 1 - usage or runtime error.
 
-Randomized commands default to the documented seed 1938 unless ``--ci`` is
-given, in which case ``--seed`` must be passed explicitly. ``--threads``
-falls back to the SCHOENBERG_LAB_THREADS environment variable, then to one
-thread: certify's trials are small LAPACK calls plus Python that the
-interpreter lock serialises, so extra threads make it slower. Results are
-independent of the thread count. Every report records ``stream_version``,
-the version of the seeded random streams that produced it.
+The randomized subcommands (certify, simulate, verify-identity and
+consistency) take ``--seed`` and ``--ci``: the seed defaults to the
+documented 1938 unless ``--ci`` is given, in which case ``--seed`` must be
+passed explicitly. Only certify takes ``--threads`` (default 1): its trials
+are small LAPACK calls plus Python that the interpreter lock serialises, so
+extra threads make it slower. Results are independent of the thread count.
+A subcommand rejects an option it does not read. Every report records the
+resolved value of each option it takes, and ``stream_version``, the version
+of the seeded random streams that produced it.
 """
 
 from __future__ import annotations
@@ -36,16 +39,12 @@ EXIT_ERROR = 1
 EXIT_FAIL = 2
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _numpy_to_json(obj):
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
         return obj.item()
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def emit_report(command: str, config: dict, results: dict, passed: bool | None,
@@ -53,12 +52,12 @@ def emit_report(command: str, config: dict, results: dict, passed: bool | None,
     report = {
         "command": command,
         "stream_version": STREAM_VERSION,
-        "config": _jsonable(config),
-        "results": _jsonable(results),
+        "config": config,
+        "results": results,
         "pass": passed,
         "wall_time_ms": int((time.monotonic() - started) * 1000),
     }
-    json.dump(report, sys.stdout)
+    json.dump(report, sys.stdout, default=_numpy_to_json)
     sys.stdout.write("\n")
 
 
@@ -71,31 +70,26 @@ def _resolve_seed(args) -> int:
 
 
 def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SCHOENBERG_LAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
+    return max(1, args.threads)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _check_threshold(option: str, value: float) -> None:
+    if not 0.0 <= value < np.inf:  # also rejects nan
+        raise ValueError(f"{option} must be finite and >= 0, got {value!r}")
+
+
+def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default {DEFAULT_SEED}; required with --ci)")
     parser.add_argument("--ci", action="store_true",
                         help="require an explicit --seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: SCHOENBERG_LAB_THREADS or 1)")
 
 
-def cmd_certify(args) -> int:
-    started = time.monotonic()
+def cmd_certify(args) -> tuple[dict, bool, str]:
     profile = profiles.resolve_profile(args.profile)
-    seed = _resolve_seed(args)
-    threads = _resolve_threads(args)
     report = psd.certify_psd(profile, dim=args.dim, trials=args.trials,
-                             k_max=args.kmax, tol=args.tol, seed=seed,
-                             threads=threads)
+                             k_max=args.kmax, tol=args.tol, seed=args.seed,
+                             threads=args.threads)
     results = {
         "verdict": report.verdict,
         "min_eigenvalue": report.min_eigenvalue,
@@ -110,28 +104,24 @@ def cmd_certify(args) -> int:
             "coefficients": coeffs,
             "quadratic_form": value,
         }
-    config = {"profile": args.profile, "dim": args.dim, "trials": args.trials,
-              "kmax": args.kmax, "tol": args.tol, "seed": seed, "threads": threads}
-    emit_report("certify", config, results, report.certified, started)
-    print(f"certify {profile.label} in R^{args.dim}: {report.verdict} "
-          f"(min eigenvalue {report.min_eigenvalue:.3e}, {report.trials_run} trials)",
-          file=sys.stderr)
-    return EXIT_PASS if report.certified else EXIT_FAIL
+    summary = (f"certify {profile.label} in R^{args.dim}: {report.verdict} "
+               f"(min eigenvalue {report.min_eigenvalue:.3e}, {report.trials_run} trials)")
+    return results, report.certified, summary
 
 
-def cmd_decompose(args) -> int:
-    started = time.monotonic()
+def cmd_decompose(args) -> tuple[dict, bool, str]:
+    _check_threshold("--residual-threshold", args.residual_threshold)
     s_grid = np.logspace(np.log10(args.s_min), np.log10(args.s_max), args.s_points)
     if os.path.exists(args.profile):
         problem = recover.RecoveryProblem.from_csv(
             args.profile, s_grid=s_grid,
-            normalize_mass=not args.no_normalize, ridge=args.ridge)
+            normalize_mass=args.normalize_mass, ridge=args.ridge)
     else:
         profile = profiles.resolve_profile(args.profile)
         t_grid = np.linspace(0.0, args.t_max, args.t_points)
         problem = recover.RecoveryProblem(
             t_grid, profile(t_grid), s_grid,
-            normalize_mass=not args.no_normalize, ridge=args.ridge)
+            normalize_mass=args.normalize_mass, ridge=args.ridge)
     result = recover.recover_mixing(problem)
     if args.out:
         result.measure.save(args.out)
@@ -143,22 +133,17 @@ def cmd_decompose(args) -> int:
             "mass_deficit": result.mass_deficit,
         },
     }
-    config = {"profile": args.profile, "t_max": args.t_max, "t_points": args.t_points,
-              "s_min": args.s_min, "s_max": args.s_max, "s_points": args.s_points,
-              "ridge": args.ridge, "normalize_mass": not args.no_normalize,
-              "residual_threshold": args.residual_threshold, "out": args.out}
-    emit_report("decompose", config, results, passed, started)
-    print(f"decompose {args.profile}: residual {result.residual_norm:.3e} "
-          f"({len(result.measure.scales)} atoms, "
-          f"{'fit ok' if passed else 'residual above threshold'})", file=sys.stderr)
-    return EXIT_PASS if passed else EXIT_FAIL
+    summary = (f"decompose {args.profile}: residual {result.residual_norm:.3e} "
+               f"({len(result.measure.scales)} atoms, "
+               f"{'fit ok' if passed else 'residual above threshold'})")
+    return results, passed, summary
 
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
+def cmd_simulate(args) -> tuple[dict, bool, str]:
+    _check_threshold("--max-dist", args.max_dist)
     measure = measures.resolve_measure(args.measure, renormalize=args.renormalize)
-    seed = _resolve_seed(args)
-    empirical = definetti.estimate_mixing(measure, n=args.n, reps=args.reps, seed=seed)
+    empirical = definetti.estimate_mixing(measure, n=args.n, reps=args.reps,
+                                          seed=args.seed)
     if args.out:
         empirical.to_csv(args.out)
     if args.out_measure:
@@ -169,29 +154,24 @@ def cmd_simulate(args) -> int:
     passed = metric_value <= args.max_dist
     results = {"w1": w1, "ks": ks, "metric": args.metric,
                "metric_value": metric_value, "count": len(empirical.values)}
-    config = {"measure": args.measure, "n": args.n, "reps": args.reps,
-              "seed": seed, "metric": args.metric, "max_dist": args.max_dist,
-              "out": args.out, "out_measure": args.out_measure, "bins": args.bins,
-              "renormalize": args.renormalize}
-    emit_report("simulate", config, results, passed, started)
-    print(f"simulate {measure.label}: W1 {w1:.4f}, KS {ks:.4f} "
-          f"({args.metric} {'<=' if passed else '>'} {args.max_dist})", file=sys.stderr)
-    return EXIT_PASS if passed else EXIT_FAIL
+    summary = (f"simulate {measure.label}: W1 {w1:.4f}, KS {ks:.4f} "
+               f"({args.metric} {'<=' if passed else '>'} {args.max_dist})")
+    return results, passed, summary
 
 
-def cmd_verify_identity(args) -> int:
-    started = time.monotonic()
+def cmd_verify_identity(args) -> tuple[dict, bool, str]:
+    if args.n_coarse >= args.n:
+        raise ValueError(f"--n-coarse must be < --n, got {args.n_coarse} >= {args.n}")
     profile = profiles.resolve_profile(args.profile)
     measure = measures.resolve_measure(args.measure, renormalize=args.renormalize)
-    seed = _resolve_seed(args)
     t_values = [float(v) for v in args.t.split(",")]
     per_t = []
     all_pass = True
     for idx, t in enumerate(t_values):
         coarse = definetti.key_identity_mc(profile, measure, t, n=args.n_coarse,
-                                           reps=args.reps, seed=seed + idx)
+                                           reps=args.reps, seed=args.seed + idx)
         fine = definetti.key_identity_mc(profile, measure, t, n=args.n,
-                                         reps=args.reps, seed=seed + idx)
+                                         reps=args.reps, seed=args.seed + idx)
         sides_agree = fine.gap <= 3.0 * fine.combined_se
         limit_improves = abs(fine.lhs - fine.f_of_t) < abs(coarse.lhs - coarse.f_of_t)
         all_pass = all_pass and sides_agree and limit_improves
@@ -201,41 +181,30 @@ def cmd_verify_identity(args) -> int:
             "lhs_coarse": coarse.lhs, "n_coarse": args.n_coarse,
             "sides_agree": sides_agree, "limit_improves": limit_improves,
         })
-    config = {"profile": args.profile, "measure": args.measure, "t": args.t,
-              "n": args.n, "n_coarse": args.n_coarse, "reps": args.reps,
-              "seed": seed, "renormalize": args.renormalize}
-    emit_report("verify-identity", config, {"per_t": per_t}, all_pass, started)
-    print(f"verify-identity {profile.label} vs {measure.label}: "
-          f"{'pass' if all_pass else 'FAIL'} at t={args.t}", file=sys.stderr)
-    return EXIT_PASS if all_pass else EXIT_FAIL
+    summary = (f"verify-identity {profile.label} vs {measure.label}: "
+               f"{'pass' if all_pass else 'FAIL'} at t={args.t}")
+    return {"per_t": per_t}, all_pass, summary
 
 
-def cmd_consistency(args) -> int:
-    started = time.monotonic()
+def cmd_consistency(args) -> tuple[dict, bool, str]:
     measure = measures.resolve_measure(args.measure, renormalize=args.renormalize)
-    seed = _resolve_seed(args)
     mixture = measures.GaussianScaleMixture(measure, args.dim)
     report = measures.marginal_consistency_check(
-        mixture, count=args.count, seed=seed, corrupt_scale=args.corrupt_scale)
+        mixture, count=args.count, seed=args.seed, corrupt_scale=args.corrupt_scale)
     results = {
         "ks_first_coordinate": report.ks_first_coordinate,
         "ks_squared_norm": report.ks_squared_norm,
         "critical_value": report.critical_value,
         "alpha": report.alpha,
     }
-    config = {"measure": args.measure, "dim": args.dim, "count": args.count,
-              "seed": seed, "corrupt_scale": args.corrupt_scale,
-              "renormalize": args.renormalize}
-    emit_report("consistency", config, results, report.passed, started)
-    print(f"consistency {measure.label} (n={args.dim}): "
-          f"KS {report.ks_first_coordinate:.4f}/{report.ks_squared_norm:.4f} "
-          f"vs crit {report.critical_value:.4f} -> "
-          f"{'pass' if report.passed else 'FAIL'}", file=sys.stderr)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    summary = (f"consistency {measure.label} (n={args.dim}): "
+               f"KS {report.ks_first_coordinate:.4f}/{report.ks_squared_norm:.4f} "
+               f"vs crit {report.critical_value:.4f} -> "
+               f"{'pass' if report.passed else 'FAIL'}")
+    return results, report.passed, summary
 
 
-def cmd_cm_check(args) -> int:
-    started = time.monotonic()
+def cmd_cm_check(args) -> tuple[dict, bool, str]:
     profile = profiles.resolve_profile(args.profile)
     if not args.u_step > 0:  # also rejects nan
         raise ValueError("--u-step must be positive")
@@ -247,14 +216,9 @@ def cmd_cm_check(args) -> int:
         "epsilon": report.epsilon,
         "first_failing_order": report.first_failing_order,
     }
-    config = {"profile": args.profile, "max_order": args.max_order,
-              "u_min": args.u_min, "u_max": args.u_max, "u_step": args.u_step,
-              "h": args.h}
-    emit_report("cm-check", config, results, report.passed, started)
     verdict = "pass" if report.passed else f"FAIL at order {report.first_failing_order}"
-    print(f"cm-check {profile.label} to order {args.max_order}: {verdict}",
-          file=sys.stderr)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    summary = f"cm-check {profile.label} to order {args.max_order}: {verdict}"
+    return results, report.passed, summary
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--kmax", type=int, default=64)
     p.add_argument("--tol", type=float, default=1e-8)
-    _add_common(p)
+    _add_seed(p)
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("decompose", help="recover the mixing measure from a profile")
@@ -282,12 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=float, default=1e3)
     p.add_argument("--s-points", type=int, default=241)
     p.add_argument("--ridge", type=float, default=0.0)
-    p.add_argument("--no-normalize", action="store_true",
+    p.add_argument("--no-normalize", dest="normalize_mass", action="store_false",
                    help="drop the unit-mass penalty row from the solve")
     p.add_argument("--residual-threshold", type=float, default=1e-3,
                    help="exit 2 when the fit residual exceeds this")
     p.add_argument("--out", default=None, help="write the measure JSON here")
-    _add_common(p)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("simulate", help="estimate the mixing measure by simulation")
@@ -303,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bin count for --out-measure")
     p.add_argument("--renormalize", action="store_true",
                    help="accept non-normalized measure JSON and rescale")
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify-identity", help="two-sided Monte Carlo identity check")
@@ -315,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=100_000)
     p.add_argument("--renormalize", action="store_true",
                    help="accept non-normalized measure JSON and rescale")
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(fn=cmd_verify_identity)
 
     p = sub.add_parser("consistency", help="marginal-consistency KS check")
@@ -326,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="negative control: rescale the higher-dimensional sample")
     p.add_argument("--renormalize", action="store_true",
                    help="accept non-normalized measure JSON and rescale")
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(fn=cmd_consistency)
 
     p = sub.add_parser("cm-check", help="complete-monotonicity difference test")
@@ -336,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-max", type=float, default=4.0)
     p.add_argument("--u-step", type=float, default=0.05)
     p.add_argument("--h", type=float, default=0.1)
-    _add_common(p)
     p.set_defaults(fn=cmd_cm_check)
 
     return parser
@@ -348,12 +311,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses its own exit codes
         return EXIT_ERROR if exc.code not in (0, None) else 0
+    started = time.monotonic()
     try:
-        return args.fn(args)
-    except SystemExit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+        if "seed" in args:
+            args.seed = _resolve_seed(args)
+        if "threads" in args:
+            args.threads = _resolve_threads(args)
+        config = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "ci")}
+        results, passed, summary = args.fn(args)
+        emit_report(args.command, config, results, passed, started)
+        print(summary, file=sys.stderr)
+        return EXIT_PASS if passed else EXIT_FAIL
+    except (SystemExit, ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

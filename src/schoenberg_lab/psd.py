@@ -151,6 +151,13 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     on the drawn point count alone; each such lattice is solved once per
     call and its outcome reused. ``trials_skipped`` counts the trials whose
     configuration left a tabulated profile's domain; they are not evaluated.
+
+    A tabulated profile (``t_max`` set) can be refuted but never certified:
+    certification in R^dim is a claim about f on [0, inf), and
+    configurations inside [0, t_max] need not tell it apart from a PD
+    profile. When no trial refutes it the verdict is "inconclusive", with
+    the worst configuration evaluated; if none was, min_eigenvalue is NaN
+    and point_set a single point.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -217,21 +224,13 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
                     trials_run=start + offset + 1,
                     trials_skipped=skipped,
                 )
-    if skipped == trials:
-        return PsdReport(
-            point_set=PointSet(np.zeros((1, dim))),
-            min_eigenvalue=np.nan,
-            tolerance=tol,
-            verdict="inconclusive",
-            witness=None,
-            trials_run=trials,
-            trials_skipped=skipped,
-        )
+    if skipped == trials:  # no trial was evaluated
+        global_min, global_min_pts = np.nan, np.zeros((1, dim))
     return PsdReport(
         point_set=PointSet(global_min_pts),
         min_eigenvalue=global_min,
         tolerance=tol,
-        verdict="certified",
+        verdict="certified" if profile.t_max is None else "inconclusive",
         witness=None,
         trials_run=trials,
         trials_skipped=skipped,

@@ -251,22 +251,27 @@ def test_criterion_7_mass_conservation():
 
 
 def test_criterion_8_determinism(capsys, tmp_path):
+    # certify is the one command with --threads: identical across 1/2/4.
+    # The others take no thread option: identical across three reruns.
     commands = [
-        ["certify", "triangle", "--dim", "2", "--trials", "300", "--seed", str(SEED)],
-        ["simulate", "exp:1", "--n", "200", "--reps", "1000", "--seed", str(SEED)],
-        ["verify-identity", "gaussian", "delta:1", "--t", "1", "--n", "200",
-         "--reps", "5000", "--seed", str(SEED)],
-        ["consistency", "levy:1", "--dim", "2", "--count", "2000", "--seed", str(SEED)],
-        ["decompose", "gaussian", "--seed", str(SEED)],
-        ["cm-check", "exp-mixture", "--seed", str(SEED)],
+        (["certify", "triangle", "--dim", "2", "--trials", "300", "--seed", str(SEED)],
+         [["--threads", "1"], ["--threads", "2"], ["--threads", "4"]]),
+        (["simulate", "exp:1", "--n", "200", "--reps", "1000", "--seed", str(SEED)],
+         [[]] * 3),
+        (["verify-identity", "gaussian", "delta:1", "--t", "1", "--n", "200",
+          "--reps", "5000", "--seed", str(SEED)], [[]] * 3),
+        (["consistency", "levy:1", "--dim", "2", "--count", "2000", "--seed", str(SEED)],
+         [[]] * 3),
+        (["decompose", "gaussian"], [[]] * 3),
+        (["cm-check", "exp-mixture"], [[]] * 3),
     ]
-    for argv in commands:
+    for argv, variants in commands:
         payloads = []
-        for threads in ("1", "2", "4"):
-            cli_main(argv + ["--threads", threads])
+        for extra in variants:
+            cli_main(argv + extra)
             out = capsys.readouterr().out
             payload = json.loads(out)
             payloads.append(json.dumps(payload["results"], sort_keys=True))
         assert payloads[0] == payloads[1] == payloads[2], argv[0]
-    announce(8, True, f"{len(commands)} seeded commands identical across "
-                      "thread counts 1/2/4")
+    announce(8, True, f"{len(commands)} seeded commands identical across reruns, "
+                      "certify across thread counts 1/2/4")

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, payloads, reproducibility."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -40,6 +41,16 @@ class TestCertify:
                                    "--seed", "1")
         assert code == 0
         assert payload["results"]["verdict"] == "certified"
+
+    def test_tabulated_profile_inconclusive(self, capsys, tmp_path):
+        path = tmp_path / "triangle.csv"
+        t = np.linspace(0.0, 1.0, 101)
+        path.write_text("t,f\n" + "".join(f"{a!r},{1.0 - a!r}\n" for a in t.tolist()))
+        code, payload, _ = run_cli(capsys, "certify", str(path), "--dim", "2",
+                                   "--trials", "300", "--seed", "1")
+        assert code == 2
+        assert payload["results"]["verdict"] == "inconclusive"
+        assert payload["pass"] is False
 
     def test_unknown_profile_is_usage_error(self, capsys):
         code, payload, err = run_cli(capsys, "certify", "not-a-profile")
@@ -179,11 +190,7 @@ class TestSeedPolicy:
         assert code == 0
         assert payload["config"]["seed"] == cli.DEFAULT_SEED
 
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCHOENBERG_LAB_THREADS", "3")
-        _, payload, _ = run_cli(capsys, "certify", "gaussian", "--dim", "2",
-                                "--trials", "10", "--kmax", "8", "--seed", "1")
-        assert payload["config"]["threads"] == 3
+    def test_threads_recorded(self, capsys):
         _, payload, _ = run_cli(capsys, "certify", "gaussian", "--dim", "2",
                                 "--trials", "10", "--kmax", "8", "--seed", "1",
                                 "--threads", "2")
@@ -199,9 +206,14 @@ class TestDeterminism:
          "--reps", "2000", "--seed", "42"),
     ])
     def test_payload_identical_across_threads(self, capsys, argv):
+        # only certify takes --threads; the other commands are rerun as is
+        if argv[0] == "certify":
+            variants = [("--threads", "1"), ("--threads", "4")]
+        else:
+            variants = [(), ()]
         results = []
-        for threads in ("1", "4"):
-            _, payload, _ = run_cli(capsys, *argv, "--threads", threads)
+        for extra in variants:
+            _, payload, _ = run_cli(capsys, *argv, *extra)
             payload["config"].pop("threads", None)
             results.append(json.dumps({"config": payload["config"],
                                        "results": payload["results"],
@@ -234,7 +246,8 @@ def test_console_entry_point_subprocess(tmp_path):
 def test_malformed_profile_csv_is_usage_error(capsys, tmp_path, command, content):
     path = tmp_path / "profile.csv"
     path.write_text(content)
-    code, payload, err = run_cli(capsys, command, str(path), "--seed", "1")
+    seed = ("--seed", "1") if command == "certify" else ()
+    code, payload, err = run_cli(capsys, command, str(path), *seed)
     assert code == 1
     assert payload is None
     assert err.startswith("error: ")
@@ -256,7 +269,54 @@ def test_exit_codes_stay_in_contract(capsys):
         code = cli.main(list(argv))
         capsys.readouterr()
         assert code in (0, 1, 2)
-    # a tolerance that voids the verdict is a usage error, not a certification
-    code = cli.main(["certify", "triangle", "--dim", "2", "--tol", "nan"])
-    capsys.readouterr()
+    # a tolerance or threshold that voids the verdict is a usage error
+    simulate = ("simulate", "delta:1", "--n", "100", "--reps", "200")
+    identity = ("verify-identity", "gaussian", "delta:1", "--t", "1", "--reps", "200")
+    voiding = [
+        ("certify", "triangle", "--dim", "2", "--tol", "nan"),
+        *[("decompose", "gaussian", "--residual-threshold", v) for v in ("nan", "inf", "-1")],
+        *[(*simulate, "--max-dist", v) for v in ("nan", "inf", "-0.1")],
+        (*identity, "--n", "10", "--n-coarse", "10"),
+        (*identity, "--n", "10", "--n-coarse", "100"),
+    ]
+    for argv in voiding:
+        code = cli.main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert err.startswith("error: "), argv
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def test_config_names_exactly_the_options_taken(capsys):
+    invocations = {
+        "certify": ("gaussian", "--trials", "10", "--kmax", "8"),
+        "decompose": ("gaussian",),
+        "simulate": ("delta:1", "--n", "100", "--reps", "200"),
+        "verify-identity": ("gaussian", "delta:1", "--t", "1", "--n", "100",
+                            "--reps", "1000"),
+        "consistency": ("delta:1", "--count", "500"),
+        "cm-check": ("gaussian",),
+    }
+    subparsers = _subparsers()
+    assert set(invocations) == set(subparsers)
+    for command, argv in invocations.items():
+        code, payload, _ = run_cli(capsys, command, *argv)
+        assert code in (0, 2), command
+        dests = {a.dest for a in subparsers[command]._actions} - {"help", "ci"}
+        assert set(payload["config"]) == dests, command
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "gaussian", "--seed", "1"),
+    ("cm-check", "gaussian", "--threads", "2"),
+    ("simulate", "delta:1", "--threads", "2"),
+], ids=lambda argv: argv[0])
+def test_options_a_command_does_not_read_are_rejected(capsys, argv):
+    code, payload, _ = run_cli(capsys, *argv)
     assert code == 1
+    assert payload is None

@@ -189,6 +189,27 @@ class TestCertify:
         report = certify_psd(catalog_profile("cauchy"), dim=2, trials=200, k_max=64, seed=3)
         assert report.trials_skipped == 0
 
+    def test_tabulated_profile_never_certified(self):
+        # certification is a claim about f on [0, inf); a tabulated profile
+        # is known on [0, t_max] only. Inside [0, 1] no trial refutes the
+        # triangle in R^2, nor the Gaussian. The Gaussian needs a fine
+        # table: at 101 nodes its PCHIP interpolant is itself not PD (dense
+        # configurations reach lambda_min ~ -1e-6) and is rightly refuted.
+        for nodes, fn in ((101, lambda t: 1.0 - t), (1001, lambda t: np.exp(-t * t / 2))):
+            t = np.linspace(0.0, 1.0, nodes)
+            report = certify_psd(tabulated_profile(t, fn(t)), dim=2, trials=2000,
+                                 k_max=64, seed=1938)
+            assert report.verdict == "inconclusive"
+            assert report.trials_skipped < report.trials_run
+            assert np.isfinite(report.min_eigenvalue)
+        # no configuration fits in [0, 0.01]: nothing was evaluated
+        report = certify_psd(tabulated_profile([0.0, 0.01], [1.0, 0.99]), dim=2,
+                             trials=100, seed=1)
+        assert report.verdict == "inconclusive"
+        assert report.trials_skipped == 100
+        assert np.isnan(report.min_eigenvalue)
+        assert report.point_set.k == 1
+
     def test_matches_trial_by_trial_oracle(self):
         # oracle: rebuild every trial's configuration from its own substream
         # and solve it through the public Gram and eigenvalue functions
