@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--count", type=int, default=10_000)
     p.add_argument("--corrupt-scale", type=float, default=1.0,
-                   help="negative control: rescale the higher-dimensional sample")
+                   help="negative control: rescale the higher-dimensional sample "
+                        "by this finite factor > 0")
     p.add_argument("--renormalize", action="store_true",
                    help="accept non-normalized measure JSON and rescale")
     _add_seed(p)

@@ -288,11 +288,14 @@ def marginal_consistency_check(mixture: GaussianScaleMixture, count: int = 10_00
     statistics are below the asymptotic alpha-level critical value.
 
     ``corrupt_scale`` rescales the (n+1)-dimensional sample and exists as a
-    negative control: any value other than 1 should make the check fail at
-    desk-scale counts.
+    negative control: any finite value > 0 other than 1 should make the check
+    fail at desk-scale counts. A negative scale is rejected because the
+    mixture is symmetric, so the sign flip alone would pass.
     """
     if count < 100:
         raise ValueError("count must be >= 100")
+    if not 0.0 < corrupt_scale < np.inf:
+        raise ValueError(f"corrupt_scale must be finite and > 0, got {corrupt_scale!r}")
     n = mixture.n
     higher = GaussianScaleMixture(mixture.measure, n + 1)
     y_high = _sample(higher, count, substream(seed, ROLE_SCALE, 0),

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 NORMALIZATION_TOL = 1e-12
 
@@ -131,6 +130,8 @@ def tabulated_profile(t_nodes, f_nodes, label: str = "tabulated") -> RadialProfi
         raise ValueError("first node must be t=0, f=1")
     if np.any(f_nodes < 0):
         raise ValueError("f nodes must be nonnegative")
+    from scipy.interpolate import PchipInterpolator  # deferred: slow to import
+
     interp = PchipInterpolator(t_nodes, f_nodes, extrapolate=False)
     return RadialProfile(label, lambda t: np.maximum(0.0, interp(t)), t_max=float(t_nodes[-1]))
 

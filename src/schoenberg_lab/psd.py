@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .profiles import RadialProfile
 from .rng import ROLE_TRIAL, parallel_map, substream
@@ -82,13 +81,10 @@ class PsdReport:
 
 def gram_matrix(profile: RadialProfile, point_set: PointSet) -> np.ndarray:
     """G[i, j] = f(||x_i - x_j||); exactly symmetric, unit diagonal."""
-    return _gram(profile(pdist(point_set.points)), float(profile(0.0)))
+    from scipy.spatial.distance import pdist, squareform  # deferred: slow to import
 
-
-def _gram(values: np.ndarray, f0: float) -> np.ndarray:
-    """Symmetric matrix from condensed off-diagonal ``values``, f0 on the diagonal."""
-    gram = squareform(values)
-    np.fill_diagonal(gram, f0)
+    gram = squareform(profile(pdist(point_set.points)))
+    np.fill_diagonal(gram, float(profile(0.0)))
     return gram
 
 
@@ -167,6 +163,7 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         raise ValueError("dimension must be >= 1")
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    from scipy.spatial.distance import pdist, squareform  # deferred, and once per call
 
     f0 = float(profile(0.0))
     # (kind, k) -> outcome of a fixed-span lattice trial. Worker threads may
@@ -177,7 +174,8 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         dist = pdist(pts)
         if profile.t_max is not None and dist.max() > profile.t_max:
             return None  # configuration outside a tabulated profile's domain
-        gram = _gram(profile.fn(dist), f0)
+        gram = squareform(profile.fn(dist))
+        np.fill_diagonal(gram, f0)
         eigvals = np.linalg.eigvalsh(gram)
         lam_min = float(eigvals[0])
         norm = float(max(abs(eigvals[0]), abs(eigvals[-1])))

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .measures import MixingMeasure, design_matrix, mixture_laplace
 from .profiles import read_tf_csv
@@ -103,6 +102,8 @@ def nnls(A, b, ridge: float = 0.0) -> tuple[np.ndarray, float]:
         A = np.concatenate([A, np.zeros((n, n))])
         np.fill_diagonal(A[m:], np.sqrt(ridge))
         b = np.concatenate([b, np.zeros(n)])
+    import scipy.optimize  # deferred: slow to import
+
     return scipy.optimize.nnls(A, b)
 
 

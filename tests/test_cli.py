@@ -2,14 +2,24 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from schoenberg_lab import cli
 from schoenberg_lab.rng import STREAM_VERSION
+
+
+def child_env():
+    """os.environ with the directory this package was imported from on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def run_cli(capsys, *argv):
@@ -230,7 +240,7 @@ def test_console_entry_point_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "schoenberg_lab.cli", "certify", "gaussian",
          "--dim", "3", "--trials", "50", "--kmax", "8", "--seed", "1"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=child_env(),
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
@@ -238,6 +248,33 @@ def test_console_entry_point_subprocess(tmp_path):
     assert payload["stream_version"] == STREAM_VERSION
     assert payload["results"]["verdict"] == "certified"
     assert proc.stderr.strip()  # human summary on stderr
+
+
+def test_montecarlo_commands_load_no_scipy():
+    # scipy is imported only inside certify's Gram builds, decompose's NNLS and
+    # tabulated profiles, so the de Finetti/LLN checks start on numpy alone
+    script = """
+import contextlib, io, json, sys
+from schoenberg_lab import cli
+codes = []
+for argv in [
+    ["simulate", "delta:1", "--n", "10000", "--reps", "200", "--seed", "1"],
+    ["verify-identity", "gaussian", "delta:1", "--t", "1", "--n", "100",
+     "--n-coarse", "10", "--reps", "200", "--seed", "1"],
+    ["consistency", "exp:1", "--count", "500", "--seed", "1"],
+    ["cm-check", "gaussian"],
+]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0, 0, 0, 0]
+    assert out["scipy"] == []
 
 
 @pytest.mark.parametrize("command", ["certify", "decompose"])
@@ -278,6 +315,7 @@ def test_exit_codes_stay_in_contract(capsys):
         *[(*simulate, "--max-dist", v) for v in ("nan", "inf", "-0.1")],
         (*identity, "--n", "10", "--n-coarse", "10"),
         (*identity, "--n", "10", "--n-coarse", "100"),
+        *[("consistency", "exp:1", "--corrupt-scale", v) for v in ("-1", "nan")],
     ]
     for argv in voiding:
         code = cli.main(list(argv))
