@@ -11,9 +11,11 @@ report on stdout and the summary on stderr, and exits with:
 The randomized subcommands (certify, simulate, verify-identity and
 consistency) take ``--seed`` and ``--ci``: the seed defaults to the
 documented 1938 unless ``--ci`` is given, in which case ``--seed`` must be
-passed explicitly. Only certify takes ``--threads`` (default 1): its trials
-are small LAPACK calls plus Python that the interpreter lock serialises, so
-extra threads make it slower. Results are independent of the thread count.
+passed explicitly. Only certify takes ``--threads`` (default 1, at least 1).
+certify draws its trials in chunks of 64 and solves a chunk's configurations
+in groups of equal point count, one stacked eigensolve per group; the threads
+share a chunk's groups. The groups are small, so one thread is the default.
+Results are independent of the thread count.
 A subcommand rejects an option it does not read. Every report records the
 resolved value of each option it takes, and ``stream_version``, the version
 of the seeded random streams that produced it.
@@ -70,7 +72,9 @@ def _resolve_seed(args) -> int:
 
 
 def _resolve_threads(args) -> int:
-    return max(1, args.threads)
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    return args.threads
 
 
 def _check_threshold(option: str, value: float) -> None:
@@ -95,6 +99,7 @@ def cmd_certify(args) -> tuple[dict, bool, str]:
         "min_eigenvalue": report.min_eigenvalue,
         "trials_run": report.trials_run,
         "trials_skipped": report.trials_skipped,
+        "configurations_solved": report.configurations_solved,
         "tolerance": report.tolerance,
     }
     if report.refuted:
@@ -111,6 +116,10 @@ def cmd_certify(args) -> tuple[dict, bool, str]:
 
 def cmd_decompose(args) -> tuple[dict, bool, str]:
     _check_threshold("--residual-threshold", args.residual_threshold)
+    if not 0.0 < args.s_min < np.inf:  # also rejects nan
+        raise ValueError(f"--s-min must be finite and > 0, got {args.s_min!r}")
+    if not args.s_min < args.s_max < np.inf:
+        raise ValueError(f"--s-max must be finite and > --s-min, got {args.s_max!r}")
     s_grid = np.logspace(np.log10(args.s_min), np.log10(args.s_max), args.s_points)
     if os.path.exists(args.profile):
         problem = recover.RecoveryProblem.from_csv(
@@ -144,10 +153,13 @@ def cmd_simulate(args) -> tuple[dict, bool, str]:
     measure = measures.resolve_measure(args.measure, renormalize=args.renormalize)
     empirical = definetti.estimate_mixing(measure, n=args.n, reps=args.reps,
                                           seed=args.seed)
+    # bin before writing: a bad --bins is a usage error and leaves no --out file
+    binned = (empirical.to_measure(bins=args.bins, label="binned-empirical")
+              if args.out_measure else None)
     if args.out:
         empirical.to_csv(args.out)
-    if args.out_measure:
-        empirical.to_measure(bins=args.bins, label="binned-empirical").save(args.out_measure)
+    if binned is not None:
+        binned.save(args.out_measure)
     w1 = recover.wasserstein1(empirical, measure)
     ks = recover.ks_distance(empirical, measure)
     metric_value = w1 if args.metric == "w1" else ks

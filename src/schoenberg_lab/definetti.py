@@ -92,6 +92,8 @@ class EmpiricalMeasure:
 
     def to_measure(self, bins: int = 64, label: str = "empirical") -> MixingMeasure:
         """Equal-mass binning into a MixingMeasure with ``bins`` atoms."""
+        if bins < 1:
+            raise ValueError(f"bins must be >= 1, got {bins}")
         n = len(self.values)
         bins = min(bins, n)
         edges = np.linspace(0, n, bins + 1).astype(int)

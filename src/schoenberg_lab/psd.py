@@ -9,6 +9,7 @@ quadratic form is negative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,10 @@ _KIND_LATTICE_2D = 1
 _KIND_RANDOM_BOX = 2
 _KIND_LATTICE_1D = 3
 _N_KINDS = 4
+
+# Trials per substream. Part of the stream definition (rng.STREAM_VERSION 3),
+# not a tuning knob: changing it changes every seeded configuration.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,7 @@ class PsdReport:
     witness: tuple[np.ndarray, float] | None
     trials_run: int
     trials_skipped: int  # of trials_run, left a tabulated profile's domain
+    configurations_solved: int  # distinct Gram matrices eigen-solved among trials_run
 
     @property
     def certified(self) -> bool:
@@ -79,11 +85,24 @@ class PsdReport:
         return self.verdict == "refuted"
 
 
+def _distances(points: np.ndarray) -> np.ndarray:
+    """Pairwise distances of a (..., k, n) point stack, shape (..., k, k).
+
+    Exactly symmetric with a zero diagonal: entry (j, i) sums the squares of
+    the negated differences of entry (i, j), coordinate by coordinate in the
+    same order.
+    """
+    sq = 0.0
+    for axis in range(points.shape[-1]):
+        x = points[..., axis]
+        diff = x[..., :, None] - x[..., None, :]
+        sq = sq + diff * diff
+    return np.sqrt(sq)
+
+
 def gram_matrix(profile: RadialProfile, point_set: PointSet) -> np.ndarray:
     """G[i, j] = f(||x_i - x_j||); exactly symmetric, unit diagonal."""
-    from scipy.spatial.distance import pdist, squareform  # deferred: slow to import
-
-    gram = squareform(profile(pdist(point_set.points)))
+    gram = profile(_distances(point_set.points))
     np.fill_diagonal(gram, float(profile(0.0)))
     return gram
 
@@ -106,28 +125,24 @@ def min_eigenvalue(gram: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(gram)[0])
 
 
-def _candidate_points(kind: int, dim: int, k: int, halfwidth: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Build one candidate configuration in R^dim with at most k points."""
-    if kind == _KIND_RANDOM_BOX:
-        return rng.uniform(-halfwidth, halfwidth, size=(k, dim))
-    if kind == _KIND_SCALED_LATTICE:
-        span = float(rng.uniform(0.5, 2.0 * halfwidth))
-    else:
-        span = 2.0 * halfwidth
+def _lattice_shape(kind: int, dim: int, k: int) -> tuple[int, int]:
+    """(m1, m2) of the lattice a trial tests: m2 points along axis 0 times m1
+    along axis 1. An axis lattice has m1 = 1; a planar grid has
+    m1 = floor(sqrt(k)) and m2 = k // m1 >= m1, so at most k points."""
     if kind == _KIND_LATTICE_1D or dim == 1 or k < 4:
-        pts = np.zeros((k, dim))
-        pts[:, 0] = np.linspace(0.0, span, k)
-        return pts
-    # regular m1 x m2 planar grid with m1*m2 <= k, equal spacing, longer
-    # side spanning [0, span]
-    m1 = int(np.sqrt(k))
-    m2 = k // m1
-    h = span / (max(m1, m2) - 1)
-    g1, g2 = np.meshgrid(np.arange(m1) * h, np.arange(m2) * h)
+        return 1, k
+    m1 = math.isqrt(k)
+    return m1, k // m1
+
+
+def _unit_lattice(shape: tuple[int, int], dim: int) -> np.ndarray:
+    """Equally spaced lattice in R^dim whose longer side spans [0, 1]."""
+    m1, m2 = shape
+    h = 1.0 / (m2 - 1)
     pts = np.zeros((m1 * m2, dim))
-    pts[:, 0] = g1.ravel()
-    pts[:, 1] = g2.ravel()
+    pts[:, 0] = np.repeat(np.arange(m2) * h, m1)
+    if m1 > 1:
+        pts[:, 1] = np.tile(np.arange(m1) * h, m2)
     return pts
 
 
@@ -136,17 +151,26 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
                 box_halfwidth: float = 3.0, threads: int = 1) -> PsdReport:
     """Search for a PSD violation of the kernel induced by ``profile`` in R^dim.
 
-    Each trial draws one point configuration (random box points, axis
-    lattices spanning [0, 2L], or lattices with randomized span) from a
-    substream keyed by (seed, trial index), and tests the Gram matrix.
-    A trial refutes when lambda_min < -tol * max(1, ||G||_2); the report
-    then carries the offending eigenvector as witness. Results are
-    identical for any ``threads`` value.
+    Trial i tests one point configuration of kind i mod 4: a lattice with a
+    random span in [0.5, 2L], a planar lattice spanning [0, 2L], k uniform
+    points in the box [-L, L]^dim, or an axis lattice spanning [0, 2L], with
+    k uniform in [2, k_max] and L = ``box_halfwidth``. A trial refutes when
+    lambda_min < -tol * max(1, ||G||_2); the report then carries the
+    offending eigenvector as witness.
 
-    Half the trials test fixed-span lattices, whose configuration depends
-    on the drawn point count alone; each such lattice is solved once per
-    call and its outcome reused. ``trials_skipped`` counts the trials whose
-    configuration left a tabulated profile's domain; they are not evaluated.
+    Trials come in chunks of 64. Chunk c draws the point counts, spans and
+    box points of all its trials as arrays from one substream keyed by
+    (seed, c), and only when the search reaches it. A chunk's
+    configurations are grouped by point count; each group is one stacked
+    distance, profile and eigenvalue evaluation, and ``threads`` spreads a
+    chunk's groups over worker threads. Results are identical for any
+    ``threads`` value.
+
+    Fixed-span lattices depend on the point count alone; each is solved once
+    per call and its outcome reused. ``configurations_solved`` counts the
+    distinct Gram matrices solved among the trials run, and
+    ``trials_skipped`` the trials whose configuration left a tabulated
+    profile's domain; skipped trials are not evaluated.
 
     A tabulated profile (``t_max`` set) can be refuted but never certified:
     certification in R^dim is a claim about f on [0, inf), and
@@ -163,64 +187,102 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         raise ValueError("dimension must be >= 1")
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    from scipy.spatial.distance import pdist, squareform  # deferred, and once per call
 
     f0 = float(profile(0.0))
-    # (kind, k) -> outcome of a fixed-span lattice trial. Worker threads may
-    # race to solve the same key; both store the same outcome.
-    solved = {}
+    fixed_span = 2.0 * box_halfwidth
+    units = {}  # lattice shape -> unit lattice
+    # configuration id -> solve() result. A fixed-span lattice's id is its
+    # shape, so it is solved once per call; every other configuration's id is
+    # its trial index. Only a refuting result, which ends the call, holds a
+    # matrix.
+    outcome = {}
 
-    def solve(pts: np.ndarray):
-        dist = pdist(pts)
-        if profile.t_max is not None and dist.max() > profile.t_max:
-            return None  # configuration outside a tabulated profile's domain
-        gram = squareform(profile.fn(dist))
-        np.fill_diagonal(gram, f0)
+    def solve(points: np.ndarray) -> list:
+        """(lambda_min, refutes, Gram if it refutes) for each configuration of a
+        (B, k, dim) stack, or None where it leaves a tabulated profile's domain."""
+        dist = _distances(points)
+        inside = [True] * len(points)
+        if profile.t_max is not None:
+            inside = (dist.max(axis=(1, 2)) <= profile.t_max).tolist()
+            if not any(inside):
+                return [None] * len(points)
+            dist = dist[inside]
+        gram = np.asarray(profile.fn(dist), dtype=float)
+        diagonal = np.arange(gram.shape[-1])
+        gram[:, diagonal, diagonal] = f0
         eigvals = np.linalg.eigvalsh(gram)
-        lam_min = float(eigvals[0])
-        norm = float(max(abs(eigvals[0]), abs(eigvals[-1])))
-        threshold = -tol * max(1.0, norm)
-        witness = None
-        if lam_min < threshold:
-            _, vecs = np.linalg.eigh(gram)
-            witness = vecs[:, 0]
-        return pts, lam_min, witness
+        lam_min = eigvals[:, 0]
+        norm = np.maximum(np.abs(lam_min), np.abs(eigvals[:, -1]))
+        refutes = lam_min < -tol * np.maximum(1.0, norm)
+        solved = ((lam, bad, g.copy() if bad else None)
+                  for lam, bad, g in zip(lam_min.tolist(), refutes.tolist(), gram))
+        return [next(solved) if ok else None for ok in inside]
 
-    def run_trial(index: int):
-        rng = substream(seed, ROLE_TRIAL, index)
-        kind = index % _N_KINDS
-        k = int(rng.integers(2, k_max + 1))
-        if kind not in (_KIND_LATTICE_2D, _KIND_LATTICE_1D):
-            return solve(_candidate_points(kind, dim, k, box_halfwidth, rng))
-        if (kind, k) not in solved:
-            solved[kind, k] = solve(_candidate_points(kind, dim, k, box_halfwidth, rng))
-        return solved[kind, k]
-
-    chunk = 64
     global_min = np.inf
     global_min_pts = None
     skipped = 0
-    for start in range(0, trials, chunk):
-        count = min(start + chunk, trials) - start
-        results = parallel_map(lambda i: run_trial(start + i), count, threads)
-        for offset, res in enumerate(results):
-            if res is None:
+    counted = set()  # configuration ids evaluated so far
+    for chunk, start in enumerate(range(0, trials, _CHUNK)):
+        n = min(_CHUNK, trials - start)
+        rng = substream(seed, ROLE_TRIAL, chunk)
+        ks = rng.integers(2, k_max + 1, size=n).tolist()
+        spans = rng.uniform(0.5, fixed_span, size=n).tolist()
+        kinds = [(start + j) % _N_KINDS for j in range(n)]
+        box_ks = [k for k, kind in zip(ks, kinds) if kind == _KIND_RANDOM_BOX]
+        box = rng.uniform(-box_halfwidth, box_halfwidth, size=(sum(box_ks), dim))
+        box_at = 0
+
+        ids = []
+        fresh = {}  # id -> points of the configurations this chunk solves
+        for j, (kind, k) in enumerate(zip(kinds, ks)):
+            if kind == _KIND_RANDOM_BOX:
+                cid, pts = start + j, box[box_at:box_at + k]
+                box_at += k
+            else:
+                shape = _lattice_shape(kind, dim, k)
+                if shape not in units:
+                    units[shape] = _unit_lattice(shape, dim)
+                if kind == _KIND_SCALED_LATTICE:
+                    cid, pts = start + j, units[shape] * spans[j]
+                else:
+                    cid, pts = shape, None
+                    if cid not in outcome and cid not in fresh:
+                        pts = units[shape] * fixed_span
+            ids.append(cid)
+            if pts is not None:
+                fresh[cid] = pts
+
+        groups = {}  # point count -> ids of that size, in trial order
+        for cid, pts in fresh.items():
+            groups.setdefault(len(pts), []).append(cid)
+        groups = list(groups.values())
+        solved = parallel_map(
+            lambda g: solve(np.stack([fresh[cid] for cid in groups[g]])), len(groups), threads)
+        for group, results in zip(groups, solved):
+            outcome.update(zip(group, results))
+
+        for j, cid in enumerate(ids):
+            result = outcome[cid]
+            if result is None:
                 skipped += 1
                 continue
-            pts, lam_min, witness = res
+            counted.add(cid)
+            lam_min, refutes, gram = result
+            # a configuration can lower the minimum only at its first trial,
+            # in the chunk that solved it, so its points are in fresh
             if lam_min < global_min:
-                global_min = lam_min
-                global_min_pts = pts
-            if witness is not None:
-                gram = gram_matrix(profile, PointSet(pts))
+                global_min, global_min_pts = lam_min, fresh[cid]
+            if refutes:
+                witness = np.linalg.eigh(gram)[1][:, 0]
                 return PsdReport(
-                    point_set=PointSet(pts),
+                    point_set=PointSet(fresh[cid]),
                     min_eigenvalue=global_min,
                     tolerance=tol,
                     verdict="refuted",
                     witness=(witness, quadratic_form(gram, witness)),
-                    trials_run=start + offset + 1,
+                    trials_run=start + j + 1,
                     trials_skipped=skipped,
+                    configurations_solved=len(counted),
                 )
     if skipped == trials:  # no trial was evaluated
         global_min, global_min_pts = np.nan, np.zeros((1, dim))
@@ -232,4 +294,5 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         witness=None,
         trials_run=trials,
         trials_skipped=skipped,
+        configurations_solved=len(counted),
     )

@@ -7,7 +7,10 @@ results are bit-identical across runs and thread schedules.
 ``STREAM_VERSION`` names what the package draws from those substreams. It
 changes whenever a seeded result changes for the same seed and arguments, and
 every CLI report records it. Version 2 draws one chi-square variate per Monte
-Carlo replicate where version 1 drew n standard normals.
+Carlo replicate where version 1 drew n standard normals. Version 3 draws
+certify's trials in chunks of 64: one substream per chunk, keyed by the chunk
+index, yields the point counts, spans and box points of all its trials as
+arrays, where version 2 derived one substream per trial.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 # Role tags keep substreams of one seed disjoint across call sites.
 ROLE_TRIAL = 1

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,9 @@ class TestCertify:
         assert payload["results"]["verdict"] == "certified"
         assert payload["pass"] is True
         assert "certified" in err
+        results = payload["results"]
+        assert 0 < results["configurations_solved"] <= (results["trials_run"]
+                                                       - results["trials_skipped"])
 
     def test_triangle_dim2_refuted_with_witness(self, capsys):
         code, payload, _ = run_cli(capsys, "certify", "triangle", "--dim", "2",
@@ -61,6 +65,9 @@ class TestCertify:
         assert code == 2
         assert payload["results"]["verdict"] == "inconclusive"
         assert payload["pass"] is False
+        results = payload["results"]
+        assert results["configurations_solved"] <= (results["trials_run"]
+                                                    - results["trials_skipped"])
 
     def test_unknown_profile_is_usage_error(self, capsys):
         code, payload, err = run_cli(capsys, "certify", "not-a-profile")
@@ -277,6 +284,30 @@ print(json.dumps({"codes": codes, "scipy": sorted(
     assert out["scipy"] == []
 
 
+def test_certify_loads_no_scipy():
+    # certify computes its distances in numpy, so a catalog profile is
+    # certified or refuted without any scipy module
+    script = """
+import contextlib, io, json, sys
+from schoenberg_lab import cli
+codes = []
+for argv in [
+    ["certify", "gaussian", "--dim", "2", "--trials", "50", "--seed", "1"],
+    ["certify", "triangle", "--dim", "2", "--seed", "1"],
+]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0, 2]
+    assert out["scipy"] == []
+
+
 @pytest.mark.parametrize("command", ["certify", "decompose"])
 @pytest.mark.parametrize("content", ["t,f\n0,1\n0.5\n1,0.4\n", "t,f\n"],
                          ids=["short-row", "header-only"])
@@ -291,7 +322,7 @@ def test_malformed_profile_csv_is_usage_error(capsys, tmp_path, command, content
     assert str(path) in err
 
 
-def test_exit_codes_stay_in_contract(capsys):
+def test_exit_codes_stay_in_contract(capsys, tmp_path):
     # a sweep of good, failing, and erroring invocations never leaves {0,1,2}
     invocations = [
         ("cm-check", "gaussian"),
@@ -316,12 +347,19 @@ def test_exit_codes_stay_in_contract(capsys):
         (*identity, "--n", "10", "--n-coarse", "10"),
         (*identity, "--n", "10", "--n-coarse", "100"),
         *[("consistency", "exp:1", "--corrupt-scale", v) for v in ("-1", "nan")],
+        *[("certify", "gaussian", "--trials", "10", "--threads", v) for v in ("0", "-5")],
+        *[("decompose", "gaussian", "--s-min", v) for v in ("0", "-1")],
+        (*simulate, "--bins", "0", "--out", str(tmp_path / "L.csv"),
+         "--out-measure", str(tmp_path / "measure.json")),
     ]
     for argv in voiding:
-        code = cli.main(list(argv))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning must not precede the error
+            code = cli.main(list(argv))
         err = capsys.readouterr().err
         assert code == 1, argv
         assert err.startswith("error: "), argv
+    assert not any(tmp_path.iterdir())  # a usage error writes no output file
 
 
 def _subparsers():

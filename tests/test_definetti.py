@@ -131,6 +131,11 @@ class TestEmpiricalMeasure:
         # binned measure preserves the mean
         assert m.mean() == pytest.approx(emp.values.mean(), rel=1e-9)
 
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_binning_rejects_no_bins(self, bins):
+        with pytest.raises(ValueError, match="bins must be >= 1"):
+            EmpiricalMeasure(np.array([0.25, 1.5])).to_measure(bins=bins)
+
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             EmpiricalMeasure(np.array([-0.1, 1.0]))

@@ -23,8 +23,55 @@ from schoenberg_lab import (
     quadratic_form,
     tabulated_profile,
 )
-from schoenberg_lab.psd import _N_KINDS, _candidate_points
-from schoenberg_lab.rng import ROLE_TRIAL, substream
+from schoenberg_lab.psd import (
+    _CHUNK,
+    _KIND_LATTICE_1D,
+    _KIND_RANDOM_BOX,
+    _KIND_SCALED_LATTICE,
+    _N_KINDS,
+)
+from schoenberg_lab.rng import ROLE_TRIAL, STREAM_VERSION, substream
+
+
+def oracle_configurations(dim, trials, k_max, seed, halfwidth=3.0):
+    """Every trial's points, rebuilt from its chunk's substream (stream version 3).
+
+    Chunk c draws, from substream(seed, ROLE_TRIAL, c): the point counts of
+    its trials, one span per trial (used by the scaled lattices), then the
+    points of its box trials in trial order. Lattices are built here from
+    the definition: an axis lattice, or an m1 x m2 planar grid with
+    m1 = floor(sqrt(k)), m2 = k // m1, whose longer side (m2 points, axis 0)
+    spans [0, span].
+    """
+    configs = []
+    for chunk, start in enumerate(range(0, trials, _CHUNK)):
+        n = min(_CHUNK, trials - start)
+        rng = substream(seed, ROLE_TRIAL, chunk)
+        ks = rng.integers(2, k_max + 1, size=n)
+        spans = rng.uniform(0.5, 2.0 * halfwidth, size=n)
+        kinds = [(start + j) % _N_KINDS for j in range(n)]
+        n_box = sum(int(k) for k, kind in zip(ks, kinds) if kind == _KIND_RANDOM_BOX)
+        box = iter(rng.uniform(-halfwidth, halfwidth, size=(n_box, dim)))
+        for kind, k, span in zip(kinds, ks.tolist(), spans.tolist()):
+            if kind == _KIND_RANDOM_BOX:
+                configs.append(np.array([next(box) for _ in range(k)]))
+                continue
+            if kind != _KIND_SCALED_LATTICE:
+                span = 2.0 * halfwidth
+            if kind == _KIND_LATTICE_1D or dim == 1 or k < 4:
+                pts = np.zeros((k, dim))
+                pts[:, 0] = np.arange(k) * (1.0 / (k - 1)) * span
+            else:
+                m1 = int(np.sqrt(k))
+                m2 = k // m1
+                h = 1.0 / (m2 - 1)
+                along, across = np.meshgrid(np.arange(m2) * h, np.arange(m1) * h,
+                                            indexing="ij")
+                pts = np.zeros((m1 * m2, dim))
+                pts[:, 0] = along.ravel() * span
+                pts[:, 1] = across.ravel() * span
+            configs.append(pts)
+    return configs
 
 
 class TestGramMatrix:
@@ -211,33 +258,74 @@ class TestCertify:
         assert report.point_set.k == 1
 
     def test_matches_trial_by_trial_oracle(self):
-        # oracle: rebuild every trial's configuration from its own substream
-        # and solve it through the public Gram and eigenvalue functions
-        f = catalog_profile("gaussian")
-        seed, trials, k_max = 11, 200, 12
-        report = certify_psd(f, dim=3, trials=trials, k_max=k_max, seed=seed)
-        configs, lams = [], []
-        for i in range(trials):
-            rng = substream(seed, ROLE_TRIAL, i)
-            k = int(rng.integers(2, k_max + 1))
-            pts = _candidate_points(i % _N_KINDS, 3, k, 3.0, rng)
-            configs.append(pts)
-            lams.append(min_eigenvalue(gram_matrix(f, PointSet(pts))))
+        assert STREAM_VERSION == 3  # the oracle rebuilds version 3 draws
+        self.check_against_oracle("gaussian", dim=3, trials=200, k_max=12, seed=11)
+
+    @pytest.mark.parametrize("pid, dim, trials, k_max, seed", [
+        ("cauchy", 2, 300, 64, 4),
+        ("triangle", 1, 256, 30, 2),
+    ])
+    def test_matches_oracle_at_more_settings(self, pid, dim, trials, k_max, seed):
+        self.check_against_oracle(pid, dim, trials, k_max, seed)
+
+    @staticmethod
+    def check_against_oracle(pid, dim, trials, k_max, seed):
+        # oracle: rebuild every trial's configuration from its chunk's
+        # substream and solve it alone through the public Gram and eigenvalue
+        # functions; the batched, memoised search must agree exactly
+        f = catalog_profile(pid)
+        report = certify_psd(f, dim=dim, trials=trials, k_max=k_max, seed=seed)
+        configs = oracle_configurations(dim, trials, k_max, seed)
+        lams = [min_eigenvalue(gram_matrix(f, PointSet(pts))) for pts in configs]
         assert report.certified
         assert report.min_eigenvalue == min(lams)
         np.testing.assert_array_equal(report.point_set.points, configs[int(np.argmin(lams))])
+        distinct = {(pts.shape, pts.tobytes()) for pts in configs}
+        assert report.configurations_solved == len(distinct)
+        assert report.configurations_solved <= report.trials_run - report.trials_skipped
+
+    def test_refutation_matches_oracle(self):
+        # the refuting trial is the first whose own Gram matrix refutes
+        tri = catalog_profile("triangle")
+        report = certify_psd(tri, dim=2, trials=500, k_max=64, seed=7)
+        configs = oracle_configurations(2, 500, 64, 7)
+        for index, pts in enumerate(configs):
+            vals = np.linalg.eigvalsh(gram_matrix(tri, PointSet(pts)))
+            if vals[0] < -1e-8 * max(1.0, abs(vals[0]), abs(vals[-1])):
+                break
+        assert report.refuted
+        assert report.trials_run == index + 1
+        np.testing.assert_array_equal(report.point_set.points, configs[index])
+        distinct = {(p.shape, p.tobytes()) for p in configs[:index + 1]}
+        assert report.configurations_solved == len(distinct)
 
     def test_each_lattice_solved_once(self, monkeypatch):
         # half the trials are fixed-span lattices: at most k_max - 1 distinct
-        # configurations per lattice kind
-        calls = []
+        # configurations per lattice kind. Count matrices, not calls, since
+        # one call solves a stack.
+        solved = []
         eigvalsh = np.linalg.eigvalsh
 
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return eigvalsh(*args, **kwargs)
+        def counting(a, *args, **kwargs):
+            solved.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+            return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         report = certify_psd(catalog_profile("gaussian"), dim=3, trials=1000, k_max=12, seed=5)
         assert report.certified
-        assert len(calls) <= 500 + 2 * 11
+        assert sum(solved) <= 500 + 2 * 11
+        assert sum(solved) == report.configurations_solved
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_verdicts_hold_across_seeds(seed):
+    # every seed is asserted: the triangle is refuted in R^2 with a strong
+    # witness and certified on the line; the mixtures are certified
+    tri = catalog_profile("triangle")
+    report = certify_psd(tri, dim=2, trials=500, k_max=64, seed=seed)
+    assert report.refuted
+    assert report.witness[1] < -1e-6
+    assert certify_psd(tri, dim=1, trials=300, k_max=64, seed=seed).certified
+    for pid, dim in (("gaussian", 5), ("cauchy", 2), ("exp-mixture", 3)):
+        report = certify_psd(catalog_profile(pid), dim=dim, trials=300, k_max=64, seed=seed)
+        assert report.certified, (pid, dim)
