@@ -9,13 +9,12 @@ report on stdout and the summary on stderr, and exits with:
 * 1 - usage or runtime error.
 
 The randomized subcommands (certify, simulate, verify-identity and
-consistency) take ``--seed`` and ``--ci``: the seed defaults to the
-documented 1938 unless ``--ci`` is given, in which case ``--seed`` must be
-passed explicitly. Only certify takes ``--threads`` (default 1, at least 1).
-certify draws its trials in chunks of 64 and solves a chunk's configurations
-in groups of equal point count, one stacked eigensolve per group; the threads
-share a chunk's groups. The groups are small, so one thread is the default.
-Results are independent of the thread count.
+consistency) take ``--seed``, which defaults to the documented 1938. Only
+certify takes ``--threads`` (default 1, at least 1). certify draws its
+trials in chunks of 64 and solves a chunk's configurations in groups of equal
+point count, one stacked eigensolve per group; the threads share a chunk's
+groups. The groups are small, so one thread is the default. Results are
+independent of the thread count.
 A subcommand rejects an option it does not read. Every report records the
 resolved value of each option it takes, and ``stream_version``, the version
 of the seeded random streams that produced it.
@@ -63,14 +62,6 @@ def emit_report(command: str, config: dict, results: dict, passed: bool | None,
     sys.stdout.write("\n")
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is None:
-        if args.ci:
-            raise SystemExit("--seed is required in --ci mode")
-        return DEFAULT_SEED
-    return args.seed
-
-
 def _resolve_threads(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
@@ -82,11 +73,14 @@ def _check_threshold(option: str, value: float) -> None:
         raise ValueError(f"{option} must be finite and >= 0, got {value!r}")
 
 
+def _check_positive(option: str, value: float) -> None:
+    if not 0.0 < value < np.inf:  # also rejects nan
+        raise ValueError(f"{option} must be finite and > 0, got {value!r}")
+
+
 def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default {DEFAULT_SEED}; required with --ci)")
-    parser.add_argument("--ci", action="store_true",
-                        help="require an explicit --seed")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help=f"RNG seed (default {DEFAULT_SEED})")
 
 
 def cmd_certify(args) -> tuple[dict, bool, str]:
@@ -116,21 +110,19 @@ def cmd_certify(args) -> tuple[dict, bool, str]:
 
 def cmd_decompose(args) -> tuple[dict, bool, str]:
     _check_threshold("--residual-threshold", args.residual_threshold)
-    if not 0.0 < args.s_min < np.inf:  # also rejects nan
-        raise ValueError(f"--s-min must be finite and > 0, got {args.s_min!r}")
+    _check_positive("--t-max", args.t_max)
+    _check_positive("--s-min", args.s_min)
     if not args.s_min < args.s_max < np.inf:
         raise ValueError(f"--s-max must be finite and > --s-min, got {args.s_max!r}")
     s_grid = np.logspace(np.log10(args.s_min), np.log10(args.s_max), args.s_points)
     if os.path.exists(args.profile):
-        problem = recover.RecoveryProblem.from_csv(
-            args.profile, s_grid=s_grid,
-            normalize_mass=args.normalize_mass, ridge=args.ridge)
+        problem = recover.RecoveryProblem.from_csv(args.profile, s_grid=s_grid,
+                                                   ridge=args.ridge)
     else:
         profile = profiles.resolve_profile(args.profile)
         t_grid = np.linspace(0.0, args.t_max, args.t_points)
-        problem = recover.RecoveryProblem(
-            t_grid, profile(t_grid), s_grid,
-            normalize_mass=args.normalize_mass, ridge=args.ridge)
+        problem = recover.RecoveryProblem(t_grid, profile(t_grid), s_grid,
+                                          ridge=args.ridge)
     result = recover.recover_mixing(problem)
     if args.out:
         result.measure.save(args.out)
@@ -150,7 +142,7 @@ def cmd_decompose(args) -> tuple[dict, bool, str]:
 
 def cmd_simulate(args) -> tuple[dict, bool, str]:
     _check_threshold("--max-dist", args.max_dist)
-    measure = measures.resolve_measure(args.measure, renormalize=args.renormalize)
+    measure = measures.resolve_measure(args.measure)
     empirical = definetti.estimate_mixing(measure, n=args.n, reps=args.reps,
                                           seed=args.seed)
     # bin before writing: a bad --bins is a usage error and leaves no --out file
@@ -175,7 +167,7 @@ def cmd_verify_identity(args) -> tuple[dict, bool, str]:
     if args.n_coarse >= args.n:
         raise ValueError(f"--n-coarse must be < --n, got {args.n_coarse} >= {args.n}")
     profile = profiles.resolve_profile(args.profile)
-    measure = measures.resolve_measure(args.measure, renormalize=args.renormalize)
+    measure = measures.resolve_measure(args.measure)
     t_values = [float(v) for v in args.t.split(",")]
     per_t = []
     all_pass = True
@@ -199,7 +191,7 @@ def cmd_verify_identity(args) -> tuple[dict, bool, str]:
 
 
 def cmd_consistency(args) -> tuple[dict, bool, str]:
-    measure = measures.resolve_measure(args.measure, renormalize=args.renormalize)
+    measure = measures.resolve_measure(args.measure)
     mixture = measures.GaussianScaleMixture(measure, args.dim)
     report = measures.marginal_consistency_check(
         mixture, count=args.count, seed=args.seed, corrupt_scale=args.corrupt_scale)
@@ -218,8 +210,12 @@ def cmd_consistency(args) -> tuple[dict, bool, str]:
 
 def cmd_cm_check(args) -> tuple[dict, bool, str]:
     profile = profiles.resolve_profile(args.profile)
+    _check_positive("--u-min", args.u_min)
+    if not args.u_min <= args.u_max < np.inf:
+        raise ValueError(f"--u-max must be finite and >= --u-min, got {args.u_max!r}")
     if not args.u_step > 0:  # also rejects nan
         raise ValueError("--u-step must be positive")
+    _check_positive("--h", args.h)
     u_grid = np.arange(args.u_min, args.u_max + 1e-12, args.u_step)
     report = monotonicity.complete_monotonicity_check(
         profile, max_order=args.max_order, u_grid=u_grid, h=args.h)
@@ -259,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=float, default=1e3)
     p.add_argument("--s-points", type=int, default=241)
     p.add_argument("--ridge", type=float, default=0.0)
-    p.add_argument("--no-normalize", dest="normalize_mass", action="store_false",
-                   help="drop the unit-mass penalty row from the solve")
     p.add_argument("--residual-threshold", type=float, default=1e-3,
                    help="exit 2 when the fit residual exceeds this")
     p.add_argument("--out", default=None, help="write the measure JSON here")
@@ -277,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the equal-mass binned measure JSON here")
     p.add_argument("--bins", type=int, default=64,
                    help="bin count for --out-measure")
-    p.add_argument("--renormalize", action="store_true",
-                   help="accept non-normalized measure JSON and rescale")
     _add_seed(p)
     p.set_defaults(fn=cmd_simulate)
 
@@ -289,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--n-coarse", type=int, default=10)
     p.add_argument("--reps", type=int, default=100_000)
-    p.add_argument("--renormalize", action="store_true",
-                   help="accept non-normalized measure JSON and rescale")
     _add_seed(p)
     p.set_defaults(fn=cmd_verify_identity)
 
@@ -301,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt-scale", type=float, default=1.0,
                    help="negative control: rescale the higher-dimensional sample "
                         "by this finite factor > 0")
-    p.add_argument("--renormalize", action="store_true",
-                   help="accept non-normalized measure JSON and rescale")
     _add_seed(p)
     p.set_defaults(fn=cmd_consistency)
 
@@ -326,16 +314,14 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     started = time.monotonic()
     try:
-        if "seed" in args:
-            args.seed = _resolve_seed(args)
         if "threads" in args:
             args.threads = _resolve_threads(args)
-        config = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "ci")}
+        config = {k: v for k, v in vars(args).items() if k not in ("command", "fn")}
         results, passed, summary = args.fn(args)
         emit_report(args.command, config, results, passed, started)
         print(summary, file=sys.stderr)
         return EXIT_PASS if passed else EXIT_FAIL
-    except (SystemExit, ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -31,6 +31,10 @@ MASS_TOL = 1e-9
 KS_ALPHA = 0.01
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MixingMeasure:
     """Probability measure on R+ given by atoms (scales, weights)."""
@@ -80,23 +84,22 @@ class MixingMeasure:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, renormalize: bool = False) -> "MixingMeasure":
-        """Build from the JSON dict form; validates invariants.
+    def from_dict(cls, data: dict) -> "MixingMeasure":
+        """Build from the JSON form ``{"label": ..., "atoms": [{"s": ..., "w": ...}]}``.
 
-        Unsorted or non-normalized input is rejected unless ``renormalize``
-        is set, which rescales the weights to total mass 1 (sorting is never
-        silently fixed).
+        A document of any other shape is rejected, and so are unsorted scales
+        and weights that do not sum to 1; neither is silently fixed.
         """
-        atoms = data.get("atoms")
-        if not atoms:
-            raise ValueError("measure JSON needs a non-empty 'atoms' list")
+        atoms = data.get("atoms") if isinstance(data, dict) else None
+        if not isinstance(atoms, list) or not atoms:
+            raise ValueError("measure JSON must be an object with a non-empty 'atoms' list")
+        for atom in atoms:
+            if not (isinstance(atom, dict) and _is_number(atom.get("s"))
+                    and _is_number(atom.get("w"))):
+                raise ValueError(f"each atom must be an object with numeric 's' and 'w', "
+                                 f"got {atom!r}")
         s = np.array([a["s"] for a in atoms], dtype=float)
         w = np.array([a["w"] for a in atoms], dtype=float)
-        if renormalize:
-            total = w.sum()
-            if total <= 0:
-                raise ValueError("cannot renormalize: total mass is not positive")
-            w = w / total
         return cls(s, w, label=str(data.get("label", "measure")))
 
     def save(self, path) -> None:
@@ -105,9 +108,13 @@ class MixingMeasure:
             fh.write("\n")
 
     @classmethod
-    def load(cls, path, renormalize: bool = False) -> "MixingMeasure":
+    def load(cls, path) -> "MixingMeasure":
+        """Read a measure JSON file; a ValueError names the file."""
         with open(path) as fh:
-            return cls.from_dict(json.load(fh), renormalize=renormalize)
+            try:
+                return cls.from_dict(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -183,8 +190,8 @@ def sample_mixture(mixture: GaussianScaleMixture, count: int, seed: int = 0) -> 
 
 def dirac(scale: float) -> MixingMeasure:
     """Point mass at a single scale."""
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
+    if not 0.0 <= scale < np.inf:  # also rejects nan
+        raise ValueError(f"scale must be finite and >= 0, got {scale!r}")
     return MixingMeasure(np.array([float(scale)]), np.array([1.0]),
                          label=f"delta({scale:g})")
 
@@ -210,8 +217,8 @@ def discretize_density(pdf: Callable[[np.ndarray], np.ndarray], label: str,
 def exponential_measure(rate: float = 1.0, atoms: int = 400,
                         s_min: float = 1e-3, s_max: float = 1e3) -> MixingMeasure:
     """Discretized Exp(rate) mixing law; generates f(t) = (1 + t^2/(2 rate))^-1."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0.0 < rate < np.inf:  # also rejects nan
+        raise ValueError(f"rate must be finite and > 0, got {rate!r}")
     return discretize_density(lambda s: rate * np.exp(-rate * s), f"exp({rate:g})",
                               atoms=atoms, s_min=s_min, s_max=s_max)
 
@@ -219,8 +226,8 @@ def exponential_measure(rate: float = 1.0, atoms: int = 400,
 def levy_measure(scale: float = 1.0, atoms: int = 400,
                  s_min: float = 1e-3, s_max: float = 1e3) -> MixingMeasure:
     """Discretized Levy (one-sided stable 1/2) law; generates f(t) = exp(-t sqrt(scale))."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < np.inf:  # also rejects nan
+        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
 
     def pdf(s):
         return np.sqrt(scale / (2.0 * np.pi)) * s ** -1.5 * np.exp(-scale / (2.0 * s))
@@ -229,12 +236,12 @@ def levy_measure(scale: float = 1.0, atoms: int = 400,
                               atoms=atoms, s_min=s_min, s_max=s_max)
 
 
-def resolve_measure(spec: str, renormalize: bool = False) -> MixingMeasure:
+def resolve_measure(spec: str) -> MixingMeasure:
     """Path to a measure JSON file, or a shorthand like ``delta:1``, ``exp:1``, ``levy:1``."""
     from os.path import exists
 
     if exists(spec):
-        return MixingMeasure.load(spec, renormalize=renormalize)
+        return MixingMeasure.load(spec)
     name, _, arg = spec.partition(":")
     value = float(arg) if arg else 1.0
     factories = {"delta": dirac, "exp": exponential_measure, "levy": levy_measure}

@@ -39,23 +39,23 @@ def alternating_differences(g, u_grid: np.ndarray, h: float, order: int) -> np.n
 
 
 def complete_monotonicity_check(profile: RadialProfile, max_order: int = 8,
-                                u_grid=None, h: float = 0.1,
-                                epsilon: float | None = None) -> MonotonicityReport:
+                                u_grid=None, h: float = 0.1) -> MonotonicityReport:
     """Check g(u) = f(sqrt(u)) for complete monotonicity up to ``max_order``.
 
     Order m fails when an alternating difference is below
-    -(epsilon + 2^m * eps * max|g|), with epsilon defaulting to
-    1e-10 * max|g| over the grid and eps the float64 machine epsilon. The
-    second term bounds the rounding error of the m-th difference, a sum of
-    m + 1 values of g whose binomial weights total 2^m; it adds
-    6e-14 * max|g| at the default order 8 and keeps high orders of
-    completely monotone profiles from failing on cancellation. Raises for
-    tabulated profiles whose domain is shorter than u + max_order * h.
+    -(epsilon + 2^m * eps * max|g|), where epsilon = 1e-10 * max|g| over the
+    grid (reported as ``MonotonicityReport.epsilon``) and eps is the float64
+    machine epsilon. The second term bounds the rounding error of the m-th
+    difference, a sum of m + 1 values of g whose binomial weights total 2^m;
+    it adds 6e-14 * max|g| at the default order 8 and keeps high orders of
+    completely monotone profiles from failing on cancellation. Raises for a
+    step h outside (0, inf), and for tabulated profiles whose domain is
+    shorter than u + max_order * h.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not 0.0 < h < np.inf:  # also rejects nan
+        raise ValueError(f"step h must be finite and > 0, got {h!r}")
     if u_grid is None:
         u_grid = np.arange(0.1, 4.0 + 1e-12, 0.05)
     u_grid = np.asarray(u_grid, dtype=float)
@@ -74,8 +74,7 @@ def complete_monotonicity_check(profile: RadialProfile, max_order: int = 8,
         return profile(np.sqrt(u))
 
     g_max = float(np.abs(g(u_grid)).max())
-    if epsilon is None:
-        epsilon = 1e-10 * g_max
+    epsilon = 1e-10 * g_max
 
     worst: list[tuple[int, float]] = []
     first_fail = None

@@ -32,6 +32,10 @@ _N_KINDS = 4
 # not a tuning knob: changing it changes every seeded configuration.
 _CHUNK = 64
 
+# Half-width L of the random-box trials' box [-L, L]^dim; fixed-span lattices
+# span [0, 2L]. Part of the stream definition, like _CHUNK.
+_BOX_HALFWIDTH = 3.0
+
 
 @dataclass(frozen=True)
 class PointSet:
@@ -148,13 +152,13 @@ def _unit_lattice(shape: tuple[int, int], dim: int) -> np.ndarray:
 
 def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
                 k_max: int = 12, tol: float = 1e-8, seed: int = 0,
-                box_halfwidth: float = 3.0, threads: int = 1) -> PsdReport:
+                threads: int = 1) -> PsdReport:
     """Search for a PSD violation of the kernel induced by ``profile`` in R^dim.
 
     Trial i tests one point configuration of kind i mod 4: a lattice with a
     random span in [0.5, 2L], a planar lattice spanning [0, 2L], k uniform
     points in the box [-L, L]^dim, or an axis lattice spanning [0, 2L], with
-    k uniform in [2, k_max] and L = ``box_halfwidth``. A trial refutes when
+    k uniform in [2, k_max] and L = ``_BOX_HALFWIDTH`` = 3. A trial refutes when
     lambda_min < -tol * max(1, ||G||_2); the report then carries the
     offending eigenvector as witness.
 
@@ -189,7 +193,7 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
     f0 = float(profile(0.0))
-    fixed_span = 2.0 * box_halfwidth
+    fixed_span = 2.0 * _BOX_HALFWIDTH
     units = {}  # lattice shape -> unit lattice
     # configuration id -> solve() result. A fixed-span lattice's id is its
     # shape, so it is solved once per call; every other configuration's id is
@@ -229,7 +233,7 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         spans = rng.uniform(0.5, fixed_span, size=n).tolist()
         kinds = [(start + j) % _N_KINDS for j in range(n)]
         box_ks = [k for k, kind in zip(ks, kinds) if kind == _KIND_RANDOM_BOX]
-        box = rng.uniform(-box_halfwidth, box_halfwidth, size=(sum(box_ks), dim))
+        box = rng.uniform(-_BOX_HALFWIDTH, _BOX_HALFWIDTH, size=(sum(box_ks), dim))
         box_at = 0
 
         ids = []

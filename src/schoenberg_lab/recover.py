@@ -43,7 +43,6 @@ class RecoveryProblem:
     t_grid: np.ndarray
     f_values: np.ndarray
     s_grid: np.ndarray = field(default_factory=default_s_grid)
-    normalize_mass: bool = True
     ridge: float = 0.0
 
     def __post_init__(self):
@@ -71,12 +70,10 @@ class RecoveryProblem:
         object.__setattr__(self, "s_grid", s)
 
     @classmethod
-    def from_csv(cls, path, s_grid=None, normalize_mass: bool = True,
-                 ridge: float = 0.0) -> "RecoveryProblem":
+    def from_csv(cls, path, s_grid=None, ridge: float = 0.0) -> "RecoveryProblem":
         """Load (t, f) samples from a CSV with header ``t,f``."""
         t, f = read_tf_csv(path)
-        return cls(t, f, s_grid if s_grid is not None else default_s_grid(),
-                   normalize_mass=normalize_mass, ridge=ridge)
+        return cls(t, f, s_grid if s_grid is not None else default_s_grid(), ridge=ridge)
 
 
 @dataclass(frozen=True)
@@ -110,20 +107,16 @@ def nnls(A, b, ridge: float = 0.0) -> tuple[np.ndarray, float]:
 def recover_mixing(problem: RecoveryProblem) -> RecoveryResult:
     """Solve the inverse problem and package the result as a MixingMeasure.
 
-    With ``normalize_mass`` a penalty row of ones, weighted by
-    1e3 * max|A|, softly enforces total mass 1 during the solve. Atoms below
-    the pruning threshold are dropped and the output weights renormalized
-    exactly, so the returned measure is always a valid probability measure;
-    ``mass_deficit`` records how far the raw solution was from unit mass
-    (it is tiny when the penalty row was active, and a genuine diagnostic
-    when it was not).
+    A penalty row of ones, weighted by 1e3 * max|A|, softly enforces total
+    mass 1 during the solve. Atoms below the pruning threshold are dropped
+    and the output weights renormalized exactly, so the returned measure is
+    always a valid probability measure; ``mass_deficit`` records how far the
+    raw solution was from unit mass.
     """
     A = design_matrix(problem.t_grid, problem.s_grid)
-    rows, rhs = A, problem.f_values
-    if problem.normalize_mass:
-        penalty = PENALTY_FACTOR * float(np.abs(A).max())
-        rows = np.vstack([A, penalty * np.ones((1, A.shape[1]))])
-        rhs = np.concatenate([problem.f_values, [penalty]])
+    penalty = PENALTY_FACTOR * float(np.abs(A).max())
+    rows = np.vstack([A, penalty * np.ones((1, A.shape[1]))])
+    rhs = np.concatenate([problem.f_values, [penalty]])
     w, _ = nnls(rows, rhs, ridge=problem.ridge)
 
     keep = w > PRUNE_THRESHOLD

@@ -195,12 +195,6 @@ class TestCmCheck:
 
 
 class TestSeedPolicy:
-    def test_ci_requires_seed(self, capsys):
-        code, _, err = run_cli(capsys, "certify", "gaussian", "--dim", "2",
-                               "--trials", "10", "--ci")
-        assert code == 1
-        assert "--seed" in err
-
     def test_default_seed_recorded(self, capsys):
         code, payload, _ = run_cli(capsys, "certify", "gaussian", "--dim", "2",
                                    "--trials", "10", "--kmax", "8")
@@ -351,15 +345,49 @@ def test_exit_codes_stay_in_contract(capsys, tmp_path):
         *[("decompose", "gaussian", "--s-min", v) for v in ("0", "-1")],
         (*simulate, "--bins", "0", "--out", str(tmp_path / "L.csv"),
          "--out-measure", str(tmp_path / "measure.json")),
+        *[("simulate", spec) for spec in ("exp:nan", "exp:inf", "levy:inf", "delta:inf")],
+        ("cm-check", "gaussian", "--u-max", "1e6", "--u-step", "1e-7"),  # MemoryError
     ]
-    for argv in voiding:
+    # a grid bound that numpy cannot use is a usage error naming the option
+    grids = [
+        ("decompose", "gaussian", "--t-max", "inf"),
+        ("decompose", "gaussian", "--t-max", "0"),
+        ("cm-check", "gaussian", "--u-max", "nan"),
+        ("cm-check", "gaussian", "--u-max", "inf"),
+        ("cm-check", "gaussian", "--u-min", "0"),
+        ("cm-check", "gaussian", "--h", "nan"),
+        ("cm-check", "gaussian", "--h", "inf"),
+    ]
+    for argv in voiding + grids:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning must not precede the error
             code = cli.main(list(argv))
         err = capsys.readouterr().err
         assert code == 1, argv
         assert err.startswith("error: "), argv
+        if argv in grids:
+            assert argv[-2] in err, argv
     assert not any(tmp_path.iterdir())  # a usage error writes no output file
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-identity", "consistency"])
+@pytest.mark.parametrize("content", ['{"atoms": [1, 2]}', '[{"s": 1, "w": 1}]',
+                                     '{"atoms": [{"w": 1}]}'],
+                         ids=["int-atoms", "top-level-list", "atom-without-s"])
+def test_malformed_measure_json_is_usage_error(capsys, tmp_path, command, content):
+    path = tmp_path / "measure.json"
+    path.write_text(content)
+    argv = {
+        "simulate": ("simulate", str(path), "--n", "100", "--reps", "200"),
+        "verify-identity": ("verify-identity", "gaussian", str(path), "--t", "1",
+                            "--n", "100", "--reps", "1000"),
+        "consistency": ("consistency", str(path), "--count", "500"),
+    }[command]
+    code, payload, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert payload is None
+    assert err.startswith("error: ")
+    assert str(path) in err
 
 
 def _subparsers():
@@ -383,14 +411,47 @@ def test_config_names_exactly_the_options_taken(capsys):
     for command, argv in invocations.items():
         code, payload, _ = run_cli(capsys, command, *argv)
         assert code in (0, 2), command
-        dests = {a.dest for a in subparsers[command]._actions} - {"help", "ci"}
+        dests = {a.dest for a in subparsers[command]._actions} - {"help"}
         assert set(payload["config"]) == dests, command
+
+
+# Every value a subcommand takes, positionals by name. A new option is a
+# deliberate edit here.
+PINNED_OPTIONS = {
+    "certify": ["profile", "--dim", "--trials", "--kmax", "--tol", "--seed", "--threads"],
+    "decompose": ["profile", "--t-max", "--t-points", "--s-min", "--s-max", "--s-points",
+                  "--ridge", "--residual-threshold", "--out"],
+    "simulate": ["measure", "--n", "--reps", "--metric", "--max-dist", "--out",
+                 "--out-measure", "--bins", "--seed"],
+    "verify-identity": ["profile", "measure", "--t", "--n", "--n-coarse", "--reps",
+                        "--seed"],
+    "consistency": ["measure", "--dim", "--count", "--corrupt-scale", "--seed"],
+    "cm-check": ["profile", "--max-order", "--u-min", "--u-max", "--u-step", "--h"],
+}
+
+
+def test_options_are_pinned():
+    taken = {command: [a.option_strings[0] if a.option_strings else a.dest
+                       for a in sub._actions if a.dest != "help"]
+             for command, sub in _subparsers().items()}
+    assert taken == PINNED_OPTIONS
+    assert sum(map(len, taken.values())) == 43
 
 
 @pytest.mark.parametrize("argv", [
     ("decompose", "gaussian", "--seed", "1"),
     ("cm-check", "gaussian", "--threads", "2"),
     ("simulate", "delta:1", "--threads", "2"),
+    # deleted options
+    pytest.param(("certify", "gaussian", "--trials", "10", "--seed", "1", "--ci"),
+                 id="certify-ci"),
+    pytest.param(("simulate", "delta:1", "--n", "100", "--reps", "200", "--renormalize"),
+                 id="simulate-renormalize"),
+    pytest.param(("consistency", "exp:1", "--count", "500", "--renormalize"),
+                 id="consistency-renormalize"),
+    pytest.param(("verify-identity", "gaussian", "delta:1", "--t", "1", "--n", "100",
+                  "--reps", "1000", "--renormalize"), id="verify-identity-renormalize"),
+    pytest.param(("decompose", "gaussian", "--no-normalize"), id="decompose-no-normalize"),
 ], ids=lambda argv: argv[0])
 def test_options_a_command_does_not_read_are_rejected(capsys, argv):
     code, payload, _ = run_cli(capsys, *argv)

@@ -60,9 +60,16 @@ class TestMixingMeasure:
             {"s": 1.0, "w": 0.5}, {"s": 2.0, "w": 0.6}]}))
         with pytest.raises(ValueError, match="sum"):
             MixingMeasure.load(path)
-        # explicit override renormalizes
-        back = MixingMeasure.load(path, renormalize=True)
-        assert back.weights.sum() == pytest.approx(1.0)
+
+    def test_catalog_parameters_must_be_finite(self):
+        for value in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="rate must be finite and > 0"):
+                exponential_measure(value)
+            with pytest.raises(ValueError, match="scale must be finite and > 0"):
+                levy_measure(value)
+        for value in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="scale must be finite and >= 0"):
+                dirac(value)
 
     def test_discretization_labels_record_deficit(self):
         assert "tail-deficit" in exponential_measure().label

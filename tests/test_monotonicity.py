@@ -69,8 +69,9 @@ def test_rejects_bad_arguments():
     f = catalog_profile("gaussian")
     with pytest.raises(ValueError):
         complete_monotonicity_check(f, max_order=0)
-    with pytest.raises(ValueError):
-        complete_monotonicity_check(f, h=0.0)
+    for h in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="h must be finite and > 0"):
+            complete_monotonicity_check(f, h=h)
     with pytest.raises(ValueError):
         complete_monotonicity_check(f, u_grid=np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="nonempty"):
