@@ -213,8 +213,9 @@ def cmd_cm_check(args) -> tuple[dict, bool, str]:
     _check_positive("--u-min", args.u_min)
     if not args.u_min <= args.u_max < np.inf:
         raise ValueError(f"--u-max must be finite and >= --u-min, got {args.u_max!r}")
-    if not args.u_step > 0:  # also rejects nan
-        raise ValueError("--u-step must be positive")
+    _check_positive("--u-step", args.u_step)
+    if args.u_min < args.u_max and args.u_step > args.u_max - args.u_min:
+        raise ValueError(f"--u-step {args.u_step!r} is wider than --u-max - --u-min")
     _check_positive("--h", args.h)
     u_grid = np.arange(args.u_min, args.u_max + 1e-12, args.u_step)
     report = monotonicity.complete_monotonicity_check(

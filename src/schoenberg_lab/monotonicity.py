@@ -48,12 +48,14 @@ def complete_monotonicity_check(profile: RadialProfile, max_order: int = 8,
     machine epsilon. The second term bounds the rounding error of the m-th
     difference, a sum of m + 1 values of g whose binomial weights total 2^m;
     it adds 6e-14 * max|g| at the default order 8 and keeps high orders of
-    completely monotone profiles from failing on cancellation. Raises for a
-    step h outside (0, inf), and for tabulated profiles whose domain is
-    shorter than u + max_order * h.
+    completely monotone profiles from failing on cancellation. Raises for
+    max_order outside [1, 51], for a step h outside (0, inf), and for
+    tabulated profiles whose domain is shorter than u + max_order * h.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    if not 1 <= max_order <= 51:  # 2^52 * eps = 1
+        raise ValueError(
+            f"max_order must be in [1, 51], got {max_order}; from order 52 the rounding "
+            "bound 2^m * eps * max|g| reaches max|g|, so no difference can fail")
     if not 0.0 < h < np.inf:  # also rejects nan
         raise ValueError(f"step h must be finite and > 0, got {h!r}")
     if u_grid is None:

@@ -150,6 +150,28 @@ def _unit_lattice(shape: tuple[int, int], dim: int) -> np.ndarray:
     return pts
 
 
+def _solve_stack(profile: RadialProfile, f0: float, tol: float, points: np.ndarray) -> list:
+    """(lambda_min, Gram if it refutes else None) for each configuration of a
+    (B, k, dim) stack, or None where it leaves a tabulated profile's domain."""
+    dist = _distances(points)
+    inside = [True] * len(points)
+    if profile.t_max is not None:
+        inside = (dist.max(axis=(1, 2)) <= profile.t_max).tolist()
+        if not any(inside):
+            return [None] * len(points)
+        dist = dist[inside]
+    gram = np.asarray(profile.fn(dist), dtype=float)
+    diagonal = np.arange(gram.shape[-1])
+    gram[:, diagonal, diagonal] = f0
+    eigvals = np.linalg.eigvalsh(gram)
+    lam_min = eigvals[:, 0]
+    norm = np.maximum(np.abs(lam_min), np.abs(eigvals[:, -1]))
+    refutes = lam_min < -tol * np.maximum(1.0, norm)
+    solved = ((lam, g.copy() if bad else None)
+              for lam, bad, g in zip(lam_min.tolist(), refutes.tolist(), gram))
+    return [next(solved) if ok else None for ok in inside]
+
+
 def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
                 k_max: int = 12, tol: float = 1e-8, seed: int = 0,
                 threads: int = 1) -> PsdReport:
@@ -194,38 +216,16 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
 
     f0 = float(profile(0.0))
     fixed_span = 2.0 * _BOX_HALFWIDTH
-    units = {}  # lattice shape -> unit lattice
-    # configuration id -> solve() result. A fixed-span lattice's id is its
-    # shape, so it is solved once per call; every other configuration's id is
-    # its trial index. Only a refuting result, which ends the call, holds a
-    # matrix.
+    units, fixed = {}, {}  # lattice shape -> unit lattice, fixed-span lattice
+    # configuration key -> _solve_stack() result. A fixed-span lattice's key
+    # is its shape, so it is solved once per call; every other
+    # configuration's key is its trial index.
     outcome = {}
-
-    def solve(points: np.ndarray) -> list:
-        """(lambda_min, refutes, Gram if it refutes) for each configuration of a
-        (B, k, dim) stack, or None where it leaves a tabulated profile's domain."""
-        dist = _distances(points)
-        inside = [True] * len(points)
-        if profile.t_max is not None:
-            inside = (dist.max(axis=(1, 2)) <= profile.t_max).tolist()
-            if not any(inside):
-                return [None] * len(points)
-            dist = dist[inside]
-        gram = np.asarray(profile.fn(dist), dtype=float)
-        diagonal = np.arange(gram.shape[-1])
-        gram[:, diagonal, diagonal] = f0
-        eigvals = np.linalg.eigvalsh(gram)
-        lam_min = eigvals[:, 0]
-        norm = np.maximum(np.abs(lam_min), np.abs(eigvals[:, -1]))
-        refutes = lam_min < -tol * np.maximum(1.0, norm)
-        solved = ((lam, bad, g.copy() if bad else None)
-                  for lam, bad, g in zip(lam_min.tolist(), refutes.tolist(), gram))
-        return [next(solved) if ok else None for ok in inside]
 
     global_min = np.inf
     global_min_pts = None
     skipped = 0
-    counted = set()  # configuration ids evaluated so far
+    counted = set()  # configuration keys evaluated so far
     for chunk, start in enumerate(range(0, trials, _CHUNK)):
         n = min(_CHUNK, trials - start)
         rng = substream(seed, ROLE_TRIAL, chunk)
@@ -236,50 +236,44 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         box = rng.uniform(-_BOX_HALFWIDTH, _BOX_HALFWIDTH, size=(sum(box_ks), dim))
         box_at = 0
 
-        ids = []
-        fresh = {}  # id -> points of the configurations this chunk solves
+        configs = []  # (key, points) per trial, in trial order
+        groups = {}  # point count -> {key: points} of the unsolved configurations
         for j, (kind, k) in enumerate(zip(kinds, ks)):
             if kind == _KIND_RANDOM_BOX:
-                cid, pts = start + j, box[box_at:box_at + k]
+                key, pts = start + j, box[box_at:box_at + k]
                 box_at += k
             else:
                 shape = _lattice_shape(kind, dim, k)
                 if shape not in units:
                     units[shape] = _unit_lattice(shape, dim)
+                    fixed[shape] = units[shape] * fixed_span
                 if kind == _KIND_SCALED_LATTICE:
-                    cid, pts = start + j, units[shape] * spans[j]
+                    key, pts = start + j, units[shape] * spans[j]
                 else:
-                    cid, pts = shape, None
-                    if cid not in outcome and cid not in fresh:
-                        pts = units[shape] * fixed_span
-            ids.append(cid)
-            if pts is not None:
-                fresh[cid] = pts
-
-        groups = {}  # point count -> ids of that size, in trial order
-        for cid, pts in fresh.items():
-            groups.setdefault(len(pts), []).append(cid)
+                    key, pts = shape, fixed[shape]
+            configs.append((key, pts))
+            if key not in outcome:
+                groups.setdefault(len(pts), {})[key] = pts
         groups = list(groups.values())
         solved = parallel_map(
-            lambda g: solve(np.stack([fresh[cid] for cid in groups[g]])), len(groups), threads)
+            lambda g: _solve_stack(profile, f0, tol, np.stack(list(groups[g].values()))),
+            len(groups), threads)
         for group, results in zip(groups, solved):
             outcome.update(zip(group, results))
 
-        for j, cid in enumerate(ids):
-            result = outcome[cid]
+        for j, (key, pts) in enumerate(configs):
+            result = outcome[key]
             if result is None:
                 skipped += 1
                 continue
-            counted.add(cid)
-            lam_min, refutes, gram = result
-            # a configuration can lower the minimum only at its first trial,
-            # in the chunk that solved it, so its points are in fresh
+            counted.add(key)
+            lam_min, gram = result
             if lam_min < global_min:
-                global_min, global_min_pts = lam_min, fresh[cid]
-            if refutes:
+                global_min, global_min_pts = lam_min, pts
+            if gram is not None:
                 witness = np.linalg.eigh(gram)[1][:, 0]
                 return PsdReport(
-                    point_set=PointSet(fresh[cid]),
+                    point_set=PointSet(pts),
                     min_eigenvalue=global_min,
                     tolerance=tol,
                     verdict="refuted",

@@ -347,6 +347,7 @@ def test_exit_codes_stay_in_contract(capsys, tmp_path):
          "--out-measure", str(tmp_path / "measure.json")),
         *[("simulate", spec) for spec in ("exp:nan", "exp:inf", "levy:inf", "delta:inf")],
         ("cm-check", "gaussian", "--u-max", "1e6", "--u-step", "1e-7"),  # MemoryError
+        *[("cm-check", "gaussian", "--max-order", v) for v in ("52", "1100")],
     ]
     # a grid bound that numpy cannot use is a usage error naming the option
     grids = [
@@ -357,6 +358,8 @@ def test_exit_codes_stay_in_contract(capsys, tmp_path):
         ("cm-check", "gaussian", "--u-min", "0"),
         ("cm-check", "gaussian", "--h", "nan"),
         ("cm-check", "gaussian", "--h", "inf"),
+        ("cm-check", "gaussian", "--u-step", "inf"),
+        ("cm-check", "gaussian", "--u-step", "10"),  # wider than [--u-min, --u-max]
     ]
     for argv in voiding + grids:
         with warnings.catch_warnings():

@@ -69,6 +69,9 @@ def test_rejects_bad_arguments():
     f = catalog_profile("gaussian")
     with pytest.raises(ValueError):
         complete_monotonicity_check(f, max_order=0)
+    # from order 52 the rounding bound 2^m * eps * max|g| is max|g| itself
+    with pytest.raises(ValueError, match=r"max_order must be in \[1, 51\]"):
+        complete_monotonicity_check(f, max_order=52)
     for h in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="h must be finite and > 0"):
             complete_monotonicity_check(f, h=h)

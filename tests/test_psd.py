@@ -259,30 +259,44 @@ class TestCertify:
 
     def test_matches_trial_by_trial_oracle(self):
         assert STREAM_VERSION == 3  # the oracle rebuilds version 3 draws
-        self.check_against_oracle("gaussian", dim=3, trials=200, k_max=12, seed=11)
+        report = self.check_against_oracle(catalog_profile("gaussian"), dim=3, trials=200,
+                                           k_max=12, seed=11)
+        assert report.certified
 
     @pytest.mark.parametrize("pid, dim, trials, k_max, seed", [
         ("cauchy", 2, 300, 64, 4),
         ("triangle", 1, 256, 30, 2),
     ])
     def test_matches_oracle_at_more_settings(self, pid, dim, trials, k_max, seed):
-        self.check_against_oracle(pid, dim, trials, k_max, seed)
+        assert self.check_against_oracle(catalog_profile(pid), dim, trials, k_max, seed).certified
+
+    def test_skips_match_oracle_on_tabulated_profile(self):
+        t = np.linspace(0.0, 1.0, 101)
+        report = self.check_against_oracle(tabulated_profile(t, 1.0 - t), dim=2, trials=2000,
+                                           k_max=64, seed=1938)
+        assert report.verdict == "inconclusive"
 
     @staticmethod
-    def check_against_oracle(pid, dim, trials, k_max, seed):
+    def check_against_oracle(f, dim, trials, k_max, seed):
         # oracle: rebuild every trial's configuration from its chunk's
-        # substream and solve it alone through the public Gram and eigenvalue
-        # functions; the batched, memoised search must agree exactly
-        f = catalog_profile(pid)
+        # substream, skip those whose largest distance exceeds a tabulated
+        # profile's t_max, and solve the rest alone through the public Gram
+        # and eigenvalue functions; the batched, memoised search must agree
+        # exactly
         report = certify_psd(f, dim=dim, trials=trials, k_max=k_max, seed=seed)
         configs = oracle_configurations(dim, trials, k_max, seed)
+        if f.t_max is not None:
+            configs = [pts for pts in configs
+                       if np.linalg.norm(pts[:, None] - pts[None], axis=-1).max() <= f.t_max]
         lams = [min_eigenvalue(gram_matrix(f, PointSet(pts))) for pts in configs]
-        assert report.certified
+        assert report.trials_run == trials
+        assert report.trials_skipped == trials - len(configs)
         assert report.min_eigenvalue == min(lams)
         np.testing.assert_array_equal(report.point_set.points, configs[int(np.argmin(lams))])
         distinct = {(pts.shape, pts.tobytes()) for pts in configs}
         assert report.configurations_solved == len(distinct)
         assert report.configurations_solved <= report.trials_run - report.trials_skipped
+        return report
 
     def test_refutation_matches_oracle(self):
         # the refuting trial is the first whose own Gram matrix refutes
