@@ -99,7 +99,7 @@ def cmd_certify(args) -> tuple[dict, bool, str]:
     if report.refuted:
         coeffs, value = report.witness
         results["witness"] = {
-            "points": report.point_set.points,
+            "points": report.points,
             "coefficients": coeffs,
             "quadratic_form": value,
         }
@@ -192,9 +192,8 @@ def cmd_verify_identity(args) -> tuple[dict, bool, str]:
 
 def cmd_consistency(args) -> tuple[dict, bool, str]:
     measure = measures.resolve_measure(args.measure)
-    mixture = measures.GaussianScaleMixture(measure, args.dim)
     report = measures.marginal_consistency_check(
-        mixture, count=args.count, seed=args.seed, corrupt_scale=args.corrupt_scale)
+        measure, args.dim, count=args.count, seed=args.seed, corrupt_scale=args.corrupt_scale)
     results = {
         "ks_first_coordinate": report.ks_first_coordinate,
         "ks_squared_norm": report.ks_squared_norm,

@@ -15,8 +15,7 @@ Every replicated statistic depends on its n Gaussian draws only through
 sum Z_i^2, whose law is exactly chi-square with n degrees of freedom, so
 each replicate draws that one number instead of n normals: the LLN
 statistic is S chi^2_n / n, the left side f(t sqrt(chi^2_n / n)) and the
-right side exp(-t^2 S chi^2_n / (2n)). ``sample_exchangeable`` still draws
-coordinate by coordinate because it returns the sequence itself.
+right side exp(-t^2 S chi^2_n / (2n)).
 
 All simulated statistics are finite by construction; the degenerate
 infinite-limit event has no finite-sample counterpart here.
@@ -31,7 +30,7 @@ import numpy as np
 
 from .measures import MixingMeasure, draw_scales, mixture_laplace
 from .profiles import RadialProfile
-from .rng import ROLE_LHS, ROLE_NOISE, ROLE_RHS, ROLE_SAMPLE, ROLE_SCALE, substream
+from .rng import ROLE_LHS, ROLE_RHS, ROLE_SAMPLE, substream
 
 CONSISTENCY_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
 CONSISTENCY_TOL = 0.02
@@ -39,26 +38,6 @@ CONSISTENCY_TOL = 0.02
 
 class InconsistentInputsError(ValueError):
     """Profile and mixing measure do not describe the same radial function."""
-
-
-@dataclass(frozen=True)
-class ExchangeableSample:
-    """One realization (Y_1, ..., Y_n), with the latent scale when simulated."""
-
-    values: np.ndarray
-    latent_scale: float | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or len(v) < 1:
-            raise ValueError("values must be a nonempty 1-d array")
-        object.__setattr__(self, "values", v)
-        if self.latent_scale is not None and self.latent_scale < 0:
-            raise ValueError("latent scale must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -111,20 +90,6 @@ class EmpiricalMeasure:
         return MixingMeasure(uniq, merged / merged.sum(), label=label)
 
 
-def sample_exchangeable(measure: MixingMeasure, n: int, seed: int = 0) -> ExchangeableSample:
-    """Draw S ~ nu once, then Y_i = sqrt(S) Z_i with Z_i standard normal."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    scale = float(draw_scales(measure, 1, substream(seed, ROLE_SCALE))[0])
-    noise = substream(seed, ROLE_NOISE).standard_normal(n)
-    return ExchangeableSample(values=np.sqrt(scale) * noise, latent_scale=scale)
-
-
-def lln_statistic(sample: ExchangeableSample) -> float:
-    """(1/n) sum Y_i^2."""
-    return float(np.mean(np.square(sample.values)))
-
-
 def _lln_values(measure: MixingMeasure, n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
     """reps independent draws of the LLN statistic S chi^2_n / n."""
     scales = draw_scales(measure, reps, rng)
@@ -164,15 +129,13 @@ class KeyIdentityResult:
         return float(np.hypot(self.lhs_se, self.rhs_se))
 
 
-def check_profile_measure_match(profile: RadialProfile, measure: MixingMeasure,
-                                grid=CONSISTENCY_GRID, tol: float = CONSISTENCY_TOL) -> None:
-    """Raise unless f agrees with the measure's transform on a small grid."""
-    grid = np.asarray(grid, dtype=float)
-    gap = np.abs(profile(grid) - mixture_laplace(measure, grid))
-    if gap.max() > tol:
+def check_profile_measure_match(profile: RadialProfile, measure: MixingMeasure) -> None:
+    """Raise unless f agrees with the measure's transform on CONSISTENCY_GRID."""
+    gap = np.abs(profile(CONSISTENCY_GRID) - mixture_laplace(measure, CONSISTENCY_GRID))
+    if gap.max() > CONSISTENCY_TOL:
         raise InconsistentInputsError(
             f"profile {profile.label!r} and measure {measure.label!r} disagree "
-            f"by {gap.max():.4f} on the check grid (tolerance {tol})"
+            f"by {gap.max():.4f} on the check grid (tolerance {CONSISTENCY_TOL})"
         )
 
 
@@ -187,8 +150,10 @@ def key_identity_mc(profile: RadialProfile, measure: MixingMeasure, t: float,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    if n < 1 or reps < 1:
-        raise ValueError("n and reps must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if reps < 2:
+        raise ValueError("reps must be >= 2")
     check_profile_measure_match(profile, measure)
 
     lhs_chi2 = substream(seed, ROLE_LHS).chisquare(n, reps)

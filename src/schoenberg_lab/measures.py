@@ -2,12 +2,10 @@
 
 A mixing measure nu is a probability measure on scales s >= 0, held here as
 atoms (s_k, w_k). It induces, for every dimension n, the law of sqrt(S) * Z
-with S ~ nu and Z standard normal in R^n. Two transforms matter:
-
-* ``mixture_laplace(nu, t)`` = sum_k w_k exp(-t^2 s_k / 2), the radial
-  profile generated by nu;
-* ``mixture_cf(m, x)``, the characteristic function of the n-dimensional
-  mixture, which equals the profile at ||x|| by radial symmetry.
+with S ~ nu and Z standard normal in R^n. ``mixture_laplace(nu, t)`` =
+sum_k w_k exp(-t^2 s_k / 2) is the radial profile generated by nu: by radial
+symmetry, the characteristic function of each of those laws at any x with
+||x|| = t.
 
 Continuous catalog laws (Exp, Levy) are represented by midpoint-rule atom
 discretizations on a log-spaced grid; the truncated tail mass is recorded in
@@ -117,18 +115,6 @@ class MixingMeasure:
                 raise ValueError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class GaussianScaleMixture:
-    """The n-dimensional Gaussian scale mixture induced by a mixing measure."""
-
-    measure: MixingMeasure
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
-
-
 def design_matrix(t_grid, s_grid) -> np.ndarray:
     """A[j, k] = exp(-t_j^2 s_k / 2); the row for t = 0 is all ones."""
     return np.exp(-0.5 * np.multiply.outer(np.square(t_grid), s_grid))
@@ -141,14 +127,6 @@ def mixture_laplace(measure: MixingMeasure, t) -> np.ndarray | float:
         raise ValueError("t must be nonnegative")
     out = design_matrix(t, measure.scales) @ measure.weights
     return float(out) if t.ndim == 0 else out
-
-
-def mixture_cf(mixture: GaussianScaleMixture, x) -> float:
-    """Characteristic function of the mixture at the n-vector x (real-valued)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (mixture.n,):
-        raise ValueError(f"x has shape {x.shape}, mixture lives in R^{mixture.n}")
-    return float(mixture_laplace(mixture.measure, np.linalg.norm(x)))
 
 
 def profile_from_measure(measure: MixingMeasure) -> RadialProfile:
@@ -170,19 +148,12 @@ def draw_scales(measure: MixingMeasure, count: int, rng: np.random.Generator) ->
     return measure.scales[idx]
 
 
-def _sample(mixture: GaussianScaleMixture, count: int,
+def _sample(measure: MixingMeasure, dim: int, count: int,
             scale_rng: np.random.Generator, noise_rng: np.random.Generator) -> np.ndarray:
-    scales = draw_scales(mixture.measure, count, scale_rng)
-    noise = noise_rng.standard_normal((count, mixture.n))
+    """``count`` points of the dim-dimensional mixture; (count, dim) array."""
+    scales = draw_scales(measure, count, scale_rng)
+    noise = noise_rng.standard_normal((count, dim))
     return np.sqrt(scales)[:, None] * noise
-
-
-def sample_mixture(mixture: GaussianScaleMixture, count: int, seed: int = 0) -> np.ndarray:
-    """Draw ``count`` points of the n-dimensional mixture; (count, n) array."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return _sample(mixture, count,
-                   substream(seed, ROLE_SCALE), substream(seed, ROLE_NOISE))
 
 
 # --- catalog measures ---------------------------------------------------
@@ -197,14 +168,13 @@ def dirac(scale: float) -> MixingMeasure:
 
 
 def discretize_density(pdf: Callable[[np.ndarray], np.ndarray], label: str,
-                       atoms: int = 400, s_min: float = 1e-3,
-                       s_max: float = 1e3) -> MixingMeasure:
-    """Midpoint-rule atom discretization of a density on a log-spaced grid.
+                       atoms: int) -> MixingMeasure:
+    """Midpoint-rule atom discretization of a density on a log-spaced grid over [1e-3, 1e3].
 
     Weights are renormalized to total mass 1; the mass lost to truncation is
     recorded in the label.
     """
-    edges = np.logspace(np.log10(s_min), np.log10(s_max), atoms + 1)
+    edges = np.logspace(np.log10(1e-3), np.log10(1e3), atoms + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     w = pdf(centers) * np.diff(edges)
     keep = w > 0
@@ -214,17 +184,14 @@ def discretize_density(pdf: Callable[[np.ndarray], np.ndarray], label: str,
                          label=f"{label}[tail-deficit={deficit:.2e}]")
 
 
-def exponential_measure(rate: float = 1.0, atoms: int = 400,
-                        s_min: float = 1e-3, s_max: float = 1e3) -> MixingMeasure:
+def exponential_measure(rate: float = 1.0, atoms: int = 400) -> MixingMeasure:
     """Discretized Exp(rate) mixing law; generates f(t) = (1 + t^2/(2 rate))^-1."""
     if not 0.0 < rate < np.inf:  # also rejects nan
         raise ValueError(f"rate must be finite and > 0, got {rate!r}")
-    return discretize_density(lambda s: rate * np.exp(-rate * s), f"exp({rate:g})",
-                              atoms=atoms, s_min=s_min, s_max=s_max)
+    return discretize_density(lambda s: rate * np.exp(-rate * s), f"exp({rate:g})", atoms)
 
 
-def levy_measure(scale: float = 1.0, atoms: int = 400,
-                 s_min: float = 1e-3, s_max: float = 1e3) -> MixingMeasure:
+def levy_measure(scale: float = 1.0, atoms: int = 400) -> MixingMeasure:
     """Discretized Levy (one-sided stable 1/2) law; generates f(t) = exp(-t sqrt(scale))."""
     if not 0.0 < scale < np.inf:  # also rejects nan
         raise ValueError(f"scale must be finite and > 0, got {scale!r}")
@@ -232,8 +199,7 @@ def levy_measure(scale: float = 1.0, atoms: int = 400,
     def pdf(s):
         return np.sqrt(scale / (2.0 * np.pi)) * s ** -1.5 * np.exp(-scale / (2.0 * s))
 
-    return discretize_density(pdf, f"levy({scale:g})",
-                              atoms=atoms, s_min=s_min, s_max=s_max)
+    return discretize_density(pdf, f"levy({scale:g})", atoms)
 
 
 def resolve_measure(spec: str) -> MixingMeasure:
@@ -283,41 +249,41 @@ def ks_critical_value(count: int, alpha: float = KS_ALPHA) -> float:
     return float(np.sqrt(-np.log(alpha / 2.0) / 2.0) * np.sqrt(2.0 / count))
 
 
-def marginal_consistency_check(mixture: GaussianScaleMixture, count: int = 10_000,
-                               seed: int = 0, corrupt_scale: float = 1.0,
-                               alpha: float = KS_ALPHA) -> ConsistencyReport:
+def marginal_consistency_check(measure: MixingMeasure, dim: int, count: int = 10_000,
+                               seed: int = 0, corrupt_scale: float = 1.0) -> ConsistencyReport:
     """Check that dropping the last coordinate of mu_{n+1} reproduces mu_n.
 
-    Draws ``count`` samples from the (n+1)-dimensional mixture, drops the
-    last coordinate, draws ``count`` fresh samples from the n-dimensional
-    mixture, and compares (a) the first coordinate and (b) the squared norm
-    of the n-dimensional projections by two-sample KS. Passes iff both
-    statistics are below the asymptotic alpha-level critical value.
+    mu_n is the n-dimensional mixture ``measure`` induces, with n = ``dim``.
+    Draws ``count`` samples from mu_{n+1}, drops the last coordinate, draws
+    ``count`` fresh samples from mu_n, and compares (a) the first coordinate
+    and (b) the squared norm of the n-dimensional projections by two-sample
+    KS. Passes iff both statistics are below the asymptotic critical value
+    at level KS_ALPHA.
 
     ``corrupt_scale`` rescales the (n+1)-dimensional sample and exists as a
     negative control: any finite value > 0 other than 1 should make the check
     fail at desk-scale counts. A negative scale is rejected because the
     mixture is symmetric, so the sign flip alone would pass.
     """
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
     if count < 100:
         raise ValueError("count must be >= 100")
     if not 0.0 < corrupt_scale < np.inf:
         raise ValueError(f"corrupt_scale must be finite and > 0, got {corrupt_scale!r}")
-    n = mixture.n
-    higher = GaussianScaleMixture(mixture.measure, n + 1)
-    y_high = _sample(higher, count, substream(seed, ROLE_SCALE, 0),
+    y_high = _sample(measure, dim + 1, count, substream(seed, ROLE_SCALE, 0),
                      substream(seed, ROLE_NOISE, 0)) * corrupt_scale
-    y_low = _sample(mixture, count, substream(seed, ROLE_SCALE, 1),
+    y_low = _sample(measure, dim, count, substream(seed, ROLE_SCALE, 1),
                     substream(seed, ROLE_NOISE, 1))
-    projected = y_high[:, :n]
+    projected = y_high[:, :dim]
     ks_first = ks_two_sample(projected[:, 0], y_low[:, 0])
     ks_norm = ks_two_sample(np.sum(projected**2, axis=1), np.sum(y_low**2, axis=1))
-    crit = ks_critical_value(count, alpha)
+    crit = ks_critical_value(count)
     return ConsistencyReport(
         ks_first_coordinate=ks_first,
         ks_squared_norm=ks_norm,
         critical_value=crit,
         count=count,
-        alpha=alpha,
+        alpha=KS_ALPHA,
         passed=ks_first < crit and ks_norm < crit,
     )

@@ -61,16 +61,6 @@ class RadialProfile:
         return float(out) if np.isscalar(t) or t.ndim == 0 else np.asarray(out)
 
 
-def eval_radial(profile: RadialProfile, x) -> float:
-    """f(||x||) for an n-vector x, with the Euclidean norm."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("x must be a 1-d vector")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must have finite components")
-    return float(profile(np.linalg.norm(x)))
-
-
 def gaussian_profile() -> RadialProfile:
     return RadialProfile("gaussian", lambda t: np.exp(-np.square(t) / 2.0))
 

@@ -38,40 +38,17 @@ _BOX_HALFWIDTH = 3.0
 
 
 @dataclass(frozen=True)
-class PointSet:
-    """k points in R^n, stored as a (k, n) array."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError("points must be a (k, n) array")
-        if pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise ValueError("need k >= 1 points of dimension n >= 1")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def k(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
-
-@dataclass(frozen=True)
 class PsdReport:
     """Outcome of a certification run.
 
+    ``points`` is a (k, n) array: the refuting configuration when the verdict
+    is "refuted", else the evaluated one with the smallest eigenvalue.
     ``witness`` is a (coefficients, quadratic_form_value) pair, present
     exactly when the verdict is "refuted"; the coefficients are a unit
     eigenvector of the offending Gram matrix.
     """
 
-    point_set: PointSet
+    points: np.ndarray
     min_eigenvalue: float
     tolerance: float
     verdict: str  # "certified" | "refuted" | "inconclusive"
@@ -104,9 +81,13 @@ def _distances(points: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def gram_matrix(profile: RadialProfile, point_set: PointSet) -> np.ndarray:
-    """G[i, j] = f(||x_i - x_j||); exactly symmetric, unit diagonal."""
-    gram = profile(_distances(point_set.points))
+def gram_matrix(profile: RadialProfile, points) -> np.ndarray:
+    """G[i, j] = f(||x_i - x_j||) for the rows x_i of a (k, n) array; exactly
+    symmetric, unit diagonal."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or 0 in points.shape:
+        raise ValueError(f"points must be a nonempty (k, n) array, got shape {points.shape}")
+    gram = profile(_distances(points))
     np.fill_diagonal(gram, float(profile(0.0)))
     return gram
 
@@ -203,7 +184,7 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     configurations inside [0, t_max] need not tell it apart from a PD
     profile. When no trial refutes it the verdict is "inconclusive", with
     the worst configuration evaluated; if none was, min_eigenvalue is NaN
-    and point_set a single point.
+    and points a single point.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -273,7 +254,7 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
             if gram is not None:
                 witness = np.linalg.eigh(gram)[1][:, 0]
                 return PsdReport(
-                    point_set=PointSet(pts),
+                    points=pts,
                     min_eigenvalue=global_min,
                     tolerance=tol,
                     verdict="refuted",
@@ -285,7 +266,7 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     if skipped == trials:  # no trial was evaluated
         global_min, global_min_pts = np.nan, np.zeros((1, dim))
     return PsdReport(
-        point_set=PointSet(global_min_pts),
+        points=global_min_pts,
         min_eigenvalue=global_min,
         tolerance=tol,
         verdict="certified" if profile.t_max is None else "inconclusive",

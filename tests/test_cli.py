@@ -341,6 +341,8 @@ def test_exit_codes_stay_in_contract(capsys, tmp_path):
         (*identity, "--n", "10", "--n-coarse", "10"),
         (*identity, "--n", "10", "--n-coarse", "100"),
         *[("consistency", "exp:1", "--corrupt-scale", v) for v in ("-1", "nan")],
+        ("consistency", "exp:1", "--dim", "0"),
+        ("verify-identity", "gaussian", "delta:1", "--t", "1", "--reps", "1"),
         *[("certify", "gaussian", "--trials", "10", "--threads", v) for v in ("0", "-5")],
         *[("decompose", "gaussian", "--s-min", v) for v in ("0", "-1")],
         (*simulate, "--bins", "0", "--out", str(tmp_path / "L.csv"),

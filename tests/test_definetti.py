@@ -1,4 +1,4 @@
-"""Exchangeable simulation, LLN statistics, and the identity checker."""
+"""The LLN estimate of the mixing measure and the identity checker."""
 
 import numpy as np
 import pytest
@@ -6,65 +6,14 @@ from scipy.stats import wasserstein_distance
 
 from schoenberg_lab import (
     EmpiricalMeasure,
-    ExchangeableSample,
     InconsistentInputsError,
     catalog_profile,
     dirac,
     estimate_mixing,
     exponential_measure,
     key_identity_mc,
-    lln_statistic,
-    sample_exchangeable,
     wasserstein1,
 )
-
-
-class TestSampleExchangeable:
-    def test_zero_scale_degenerate(self):
-        s = sample_exchangeable(dirac(0.0), n=5, seed=1)
-        np.testing.assert_array_equal(s.values, np.zeros(5))
-        assert s.latent_scale == 0.0
-
-    def test_conditional_chi_square_concentration(self):
-        s = sample_exchangeable(dirac(4.0), n=10_000, seed=2)
-        assert s.latent_scale == 4.0
-        stat = lln_statistic(s)
-        # (1/n) sum Y_i^2 = 4 chi^2_n / n; sd = 4 sqrt(2/n)
-        assert abs(stat - 4.0) <= 3.0 * 4.0 * np.sqrt(2.0 / 10_000)
-
-    def test_latent_scale_comes_from_measure(self):
-        m = exponential_measure()
-        seen = {sample_exchangeable(m, n=2, seed=s).latent_scale for s in range(30)}
-        assert seen <= set(m.scales.tolist())
-        assert len(seen) > 5
-
-
-class TestLlnStatistic:
-    def test_constant_sequence(self):
-        assert lln_statistic(ExchangeableSample(np.full(7, 3.0))) == pytest.approx(9.0)
-
-    def test_small_example(self):
-        assert lln_statistic(ExchangeableSample(np.array([3.0, 4.0]))) == pytest.approx(12.5)
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(5)
-        values = rng.standard_normal(40)
-        base = lln_statistic(ExchangeableSample(values))
-        for _ in range(10):
-            perm = rng.permutation(40)
-            assert lln_statistic(ExchangeableSample(values[perm])) == pytest.approx(base)
-
-    def test_concentration_over_seeds(self):
-        # conditional chi-square oracle: |L - S| <= 3 S sqrt(2/n) for >=99%
-        # of seeds (the tail probability at 3 sigma is ~0.3%)
-        n = 10_000
-        hits = 0
-        total = 200
-        for seed in range(total):
-            s = sample_exchangeable(exponential_measure(), n=n, seed=seed)
-            if abs(lln_statistic(s) - s.latent_scale) <= 3.0 * s.latent_scale * np.sqrt(2.0 / n):
-                hits += 1
-        assert hits / total >= 0.99
 
 
 class TestEstimateMixing:
@@ -197,3 +146,13 @@ class TestKeyIdentity:
         b = key_identity_mc(catalog_profile("gaussian"), dirac(1.0), 1.0,
                             n=100, reps=2000, seed=15)
         assert (a.lhs, a.rhs, a.lhs_se, a.rhs_se) == (b.lhs, b.rhs, b.lhs_se, b.rhs_se)
+
+    def test_rejects_bad_arguments(self):
+        f, measure = catalog_profile("gaussian"), dirac(1.0)
+        with pytest.raises(ValueError, match="t must be positive"):
+            key_identity_mc(f, measure, t=0.0, n=10, reps=100)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            key_identity_mc(f, measure, t=1.0, n=0, reps=100)
+        # one replicate has no standard error
+        with pytest.raises(ValueError, match="reps must be >= 2"):
+            key_identity_mc(f, measure, t=1.0, n=10, reps=1)

@@ -5,13 +5,10 @@ import schoenberg_lab
 PUBLIC_NAMES = [
     "ConsistencyReport",
     "EmpiricalMeasure",
-    "ExchangeableSample",
-    "GaussianScaleMixture",
     "InconsistentInputsError",
     "KeyIdentityResult",
     "MixingMeasure",
     "MonotonicityReport",
-    "PointSet",
     "PsdReport",
     "RadialProfile",
     "RecoveryProblem",
@@ -22,24 +19,19 @@ PUBLIC_NAMES = [
     "design_matrix",
     "dirac",
     "estimate_mixing",
-    "eval_radial",
     "exponential_measure",
     "gram_matrix",
     "key_identity_mc",
     "ks_distance",
     "levy_measure",
-    "lln_statistic",
     "marginal_consistency_check",
     "min_eigenvalue",
-    "mixture_cf",
     "mixture_laplace",
     "nnls",
     "profile_from_csv",
     "profile_from_measure",
     "quadratic_form",
     "recover_mixing",
-    "sample_exchangeable",
-    "sample_mixture",
     "tabulated_profile",
     "wasserstein1",
 ]

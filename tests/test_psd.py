@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from schoenberg_lab import (
-    PointSet,
     catalog_profile,
     certify_psd,
     exponential_measure,
@@ -76,11 +75,11 @@ def oracle_configurations(dim, trials, k_max, seed, halfwidth=3.0):
 
 class TestGramMatrix:
     def test_single_point(self):
-        g = gram_matrix(catalog_profile("exp-mixture"), PointSet(np.zeros((1, 3))))
+        g = gram_matrix(catalog_profile("exp-mixture"), np.zeros((1, 3)))
         np.testing.assert_array_equal(g, [[1.0]])
 
     def test_two_points_gaussian(self):
-        pts = PointSet(np.array([[0.0], [2.0]]))
+        pts = np.array([[0.0], [2.0]])
         g = gram_matrix(catalog_profile("gaussian"), pts)
         expected = np.array([[1.0, np.exp(-2.0)], [np.exp(-2.0), 1.0]])
         np.testing.assert_allclose(g, expected)
@@ -91,17 +90,25 @@ class TestGramMatrix:
         oracle, err = quad(lambda s: np.exp(-t**2 * s / 2.0) * np.exp(-s), 0, np.inf)
         assert err < 1e-10
         assert oracle == pytest.approx(0.5, abs=1e-12)
-        pts = PointSet(np.array([[0.0, 0.0], [np.sqrt(2.0), 0.0]]))
+        pts = np.array([[0.0, 0.0], [np.sqrt(2.0), 0.0]])
         g = gram_matrix(catalog_profile("exp-mixture"), pts)
         assert g[0, 1] == pytest.approx(oracle, abs=1e-12)
 
     def test_exactly_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(3)
-        pts = PointSet(rng.uniform(-2, 2, size=(9, 4)))
+        pts = rng.uniform(-2, 2, size=(9, 4))
         for pid in ("gaussian", "cauchy", "exp-mixture", "triangle"):
             g = gram_matrix(catalog_profile(pid), pts)
             np.testing.assert_array_equal(g, g.T)
             np.testing.assert_array_equal(np.diag(g), np.ones(9))
+
+    def test_rejects_malformed_points(self):
+        f = catalog_profile("gaussian")
+        for pts in (np.zeros(3), np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="nonempty"):
+                gram_matrix(f, pts)
+        with pytest.raises(ValueError, match="finite"):
+            gram_matrix(f, [[0.0, 0.0], [np.nan, 1.0]])
 
 
 class TestQuadraticForm:
@@ -180,7 +187,7 @@ class TestCertify:
         for k in (8, 16, 32, 64):
             pts = np.zeros((k, 1))
             pts[:, 0] = np.linspace(0.0, 6.0, k)
-            g = gram_matrix(tri, PointSet(pts))
+            g = gram_matrix(tri, pts)
             vals = np.linalg.eigvalsh(g)
             assert vals[0] >= -1e-8 * max(1.0, abs(vals[-1]))
         report = certify_psd(tri, dim=1, trials=1000, k_max=64, tol=1e-8, seed=7)
@@ -193,7 +200,7 @@ class TestCertify:
         coeffs, value = report.witness
         assert value < -1e-6
         # independent confirmation of the witness through the public API
-        g = gram_matrix(tri, report.point_set)
+        g = gram_matrix(tri, report.points)
         assert quadratic_form(g, coeffs) == pytest.approx(value, rel=1e-9)
         assert abs(np.linalg.norm(coeffs) - 1.0) < 1e-9
 
@@ -211,7 +218,7 @@ class TestCertify:
         assert a.verdict == b.verdict
         assert a.trials_run == b.trials_run
         assert a.min_eigenvalue == b.min_eigenvalue
-        np.testing.assert_array_equal(a.point_set.points, b.point_set.points)
+        np.testing.assert_array_equal(a.points, b.points)
         if a.witness is not None:
             np.testing.assert_array_equal(a.witness[0], b.witness[0])
             assert a.witness[1] == b.witness[1]
@@ -255,7 +262,7 @@ class TestCertify:
         assert report.verdict == "inconclusive"
         assert report.trials_skipped == 100
         assert np.isnan(report.min_eigenvalue)
-        assert report.point_set.k == 1
+        assert report.points.shape == (1, 2)
 
     def test_matches_trial_by_trial_oracle(self):
         assert STREAM_VERSION == 3  # the oracle rebuilds version 3 draws
@@ -288,11 +295,11 @@ class TestCertify:
         if f.t_max is not None:
             configs = [pts for pts in configs
                        if np.linalg.norm(pts[:, None] - pts[None], axis=-1).max() <= f.t_max]
-        lams = [min_eigenvalue(gram_matrix(f, PointSet(pts))) for pts in configs]
+        lams = [min_eigenvalue(gram_matrix(f, pts)) for pts in configs]
         assert report.trials_run == trials
         assert report.trials_skipped == trials - len(configs)
         assert report.min_eigenvalue == min(lams)
-        np.testing.assert_array_equal(report.point_set.points, configs[int(np.argmin(lams))])
+        np.testing.assert_array_equal(report.points, configs[int(np.argmin(lams))])
         distinct = {(pts.shape, pts.tobytes()) for pts in configs}
         assert report.configurations_solved == len(distinct)
         assert report.configurations_solved <= report.trials_run - report.trials_skipped
@@ -304,12 +311,12 @@ class TestCertify:
         report = certify_psd(tri, dim=2, trials=500, k_max=64, seed=7)
         configs = oracle_configurations(2, 500, 64, 7)
         for index, pts in enumerate(configs):
-            vals = np.linalg.eigvalsh(gram_matrix(tri, PointSet(pts)))
+            vals = np.linalg.eigvalsh(gram_matrix(tri, pts))
             if vals[0] < -1e-8 * max(1.0, abs(vals[0]), abs(vals[-1])):
                 break
         assert report.refuted
         assert report.trials_run == index + 1
-        np.testing.assert_array_equal(report.point_set.points, configs[index])
+        np.testing.assert_array_equal(report.points, configs[index])
         distinct = {(p.shape, p.tobytes()) for p in configs[:index + 1]}
         assert report.configurations_solved == len(distinct)
 
