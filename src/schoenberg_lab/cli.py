@@ -11,10 +11,11 @@ report on stdout and the summary on stderr, and exits with:
 The randomized subcommands (certify, simulate, verify-identity and
 consistency) take ``--seed``, which defaults to the documented 1938. Only
 certify takes ``--threads`` (default 1, at least 1). certify draws its
-trials in chunks of 64 and solves a chunk's configurations in groups of equal
-point count, one stacked eigensolve per group; the threads share a chunk's
-groups. The groups are small, so one thread is the default. Results are
-independent of the thread count.
+trials in chunks of 64, up to four chunks at a time, and evaluates them in
+groups of equal point count: a stacked Cholesky screen, then an eigensolve of
+the matrices the screen cannot rule out. The threads share the groups, which
+are small, so one thread is the default. Results are independent of the
+thread count.
 A subcommand rejects an option it does not read. Every report records the
 resolved value of each option it takes, and ``stream_version``, the version
 of the seeded random streams that produced it.
@@ -94,6 +95,7 @@ def cmd_certify(args) -> tuple[dict, bool, str]:
         "trials_run": report.trials_run,
         "trials_skipped": report.trials_skipped,
         "configurations_solved": report.configurations_solved,
+        "eigensolves": report.eigensolves,
         "tolerance": report.tolerance,
     }
     if report.refuted:

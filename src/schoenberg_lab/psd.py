@@ -36,6 +36,10 @@ _CHUNK = 64
 # span [0, 2L]. Part of the stream definition, like _CHUNK.
 _BOX_HALFWIDTH = 3.0
 
+# Most chunks certify_psd solves at once; not part of the stream. Uncapped
+# doubling ran certify-sweep faster still but raised its peak RSS by 5.6%.
+_BATCH_CAP = 4
+
 
 @dataclass(frozen=True)
 class PsdReport:
@@ -55,7 +59,8 @@ class PsdReport:
     witness: tuple[np.ndarray, float] | None
     trials_run: int
     trials_skipped: int  # of trials_run, left a tabulated profile's domain
-    configurations_solved: int  # distinct Gram matrices eigen-solved among trials_run
+    configurations_solved: int  # distinct Gram matrices evaluated among trials_run
+    eigensolves: int  # of configurations_solved, those eigen-solved; the rest passed the screen
 
     @property
     def certified(self) -> bool:
@@ -131,9 +136,40 @@ def _unit_lattice(shape: tuple[int, int], dim: int) -> np.ndarray:
     return pts
 
 
-def _solve_stack(profile: RadialProfile, f0: float, tol: float, points: np.ndarray) -> list:
+def _screen(gram: np.ndarray, floor: float) -> np.ndarray:
+    """Mask of the (B, k, k) stack's Gram matrices whose computed lambda_min
+    provably exceeds ``floor``: those where Cholesky factors G - tau I, with
+    tau = floor + 4k(k+1) eps s and s = ||G||_inf + |floor|.
+
+    With u = eps/2: forming A = G - tau I moves its diagonal by <= u s. If
+    Cholesky completes on A, R^T R = A + dA with |dA| <= (k+1)u |R^T| |R|
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3), and
+    || |R^T| |R| ||_2 <= trace(R^T R) ~ k s; R^T R is PSD, so lambda_min(G)
+    >= tau - (k(k+1)+1) u s. eigvalsh errs by ~k eps ||G||_2 <= k eps s. The
+    margin is 3.2 (k = 1) to 8 times the sum of these first-order terms.
+    """
+    k = gram.shape[-1]
+    scale = np.abs(gram).sum(axis=-1).max(axis=-1) + abs(floor)
+    tau = floor + 4 * k * (k + 1) * np.finfo(float).eps * scale
+    shifted = gram - tau[:, None, None] * np.eye(k)
+    try:  # a stacked cholesky raises if any member fails: then factor one by one
+        np.linalg.cholesky(shifted)
+        return np.ones(len(gram), dtype=bool)
+    except np.linalg.LinAlgError:
+        factors = np.ones(len(gram), dtype=bool)
+    for i, a in enumerate(shifted):
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            factors[i] = False
+    return factors
+
+
+def _solve_stack(profile: RadialProfile, f0: float, tol: float, floor: float,
+                 points: np.ndarray) -> list:
     """(lambda_min, Gram if it refutes else None) for each configuration of a
-    (B, k, dim) stack, or None where it leaves a tabulated profile's domain."""
+    (B, k, dim) stack, or None where it leaves a tabulated profile's domain;
+    (inf, None) where ``_screen`` passes it against a finite ``floor``."""
     dist = _distances(points)
     inside = [True] * len(points)
     if profile.t_max is not None:
@@ -144,10 +180,14 @@ def _solve_stack(profile: RadialProfile, f0: float, tol: float, points: np.ndarr
     gram = np.asarray(profile.fn(dist), dtype=float)
     diagonal = np.arange(gram.shape[-1])
     gram[:, diagonal, diagonal] = f0
-    eigvals = np.linalg.eigvalsh(gram)
-    lam_min = eigvals[:, 0]
-    norm = np.maximum(np.abs(lam_min), np.abs(eigvals[:, -1]))
-    refutes = lam_min < -tol * np.maximum(1.0, norm)
+    lam_min = np.full(len(gram), np.inf)
+    refutes = np.zeros(len(gram), dtype=bool)
+    solve = ~_screen(gram, floor) if floor < np.inf else np.ones(len(gram), dtype=bool)
+    if solve.any():
+        eigvals = np.linalg.eigvalsh(gram[solve])
+        lam_min[solve] = eigvals[:, 0]
+        norm = np.maximum(np.abs(eigvals[:, 0]), np.abs(eigvals[:, -1]))
+        refutes[solve] = eigvals[:, 0] < -tol * np.maximum(1.0, norm)
     solved = ((lam, g.copy() if bad else None)
               for lam, bad, g in zip(lam_min.tolist(), refutes.tolist(), gram))
     return [next(solved) if ok else None for ok in inside]
@@ -167,17 +207,19 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
 
     Trials come in chunks of 64. Chunk c draws the point counts, spans and
     box points of all its trials as arrays from one substream keyed by
-    (seed, c), and only when the search reaches it. A chunk's
-    configurations are grouped by point count; each group is one stacked
-    distance, profile and eigenvalue evaluation, and ``threads`` spreads a
-    chunk's groups over worker threads. Results are identical for any
-    ``threads`` value.
+    (seed, c). The search draws chunks in batches of 1, 2, 4, 4, ... as far
+    as it goes, and groups a batch's unsolved configurations by point count;
+    ``threads`` spreads the groups over worker threads. From the second batch
+    on, a Gram matrix is eigen-solved only when ``_screen`` cannot place it
+    above max(minimum of the earlier batches, -tol), where it could neither
+    refute nor hold the minimum. Results are identical for any ``threads``.
 
-    Fixed-span lattices depend on the point count alone; each is solved once
-    per call and its outcome reused. ``configurations_solved`` counts the
-    distinct Gram matrices solved among the trials run, and
-    ``trials_skipped`` the trials whose configuration left a tabulated
-    profile's domain; skipped trials are not evaluated.
+    Fixed-span lattices depend on the point count alone; each is evaluated
+    once per call and its outcome reused. ``configurations_solved`` counts
+    the distinct Gram matrices evaluated among the trials run, by eigensolve
+    or by the screen, and ``eigensolves`` those of them eigen-solved.
+    ``trials_skipped`` counts the trials whose configuration left a
+    tabulated profile's domain; skipped trials are not evaluated.
 
     A tabulated profile (``t_max`` set) can be refuted but never certified:
     certification in R^dim is a claim about f on [0, inf), and
@@ -199,7 +241,7 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     fixed_span = 2.0 * _BOX_HALFWIDTH
     units, fixed = {}, {}  # lattice shape -> unit lattice, fixed-span lattice
     # configuration key -> _solve_stack() result. A fixed-span lattice's key
-    # is its shape, so it is solved once per call; every other
+    # is its shape, so it is evaluated once per call; every other
     # configuration's key is its trial index.
     outcome = {}
 
@@ -207,42 +249,49 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     global_min_pts = None
     skipped = 0
     counted = set()  # configuration keys evaluated so far
-    for chunk, start in enumerate(range(0, trials, _CHUNK)):
-        n = min(_CHUNK, trials - start)
-        rng = substream(seed, ROLE_TRIAL, chunk)
-        ks = rng.integers(2, k_max + 1, size=n).tolist()
-        spans = rng.uniform(0.5, fixed_span, size=n).tolist()
-        kinds = [(start + j) % _N_KINDS for j in range(n)]
-        box_ks = [k for k, kind in zip(ks, kinds) if kind == _KIND_RANDOM_BOX]
-        box = rng.uniform(-_BOX_HALFWIDTH, _BOX_HALFWIDTH, size=(sum(box_ks), dim))
-        box_at = 0
-
-        configs = []  # (key, points) per trial, in trial order
+    refutation = None  # (trials run, points, Gram) of the refuting trial
+    n_chunks = -(-trials // _CHUNK)
+    first, size = 0, 1
+    while first < n_chunks and refutation is None:
+        floor = max(global_min, -tol)  # set before any worker runs; inf in the first batch
+        configs = []  # (trial index, key, points) per trial, in trial order
         groups = {}  # point count -> {key: points} of the unsolved configurations
-        for j, (kind, k) in enumerate(zip(kinds, ks)):
-            if kind == _KIND_RANDOM_BOX:
-                key, pts = start + j, box[box_at:box_at + k]
-                box_at += k
-            else:
-                shape = _lattice_shape(kind, dim, k)
-                if shape not in units:
-                    units[shape] = _unit_lattice(shape, dim)
-                    fixed[shape] = units[shape] * fixed_span
-                if kind == _KIND_SCALED_LATTICE:
-                    key, pts = start + j, units[shape] * spans[j]
+        for chunk in range(first, min(first + size, n_chunks)):
+            start = chunk * _CHUNK
+            n = min(_CHUNK, trials - start)
+            rng = substream(seed, ROLE_TRIAL, chunk)
+            ks = rng.integers(2, k_max + 1, size=n).tolist()
+            spans = rng.uniform(0.5, fixed_span, size=n).tolist()
+            kinds = [(start + j) % _N_KINDS for j in range(n)]
+            box_ks = [k for k, kind in zip(ks, kinds) if kind == _KIND_RANDOM_BOX]
+            box = rng.uniform(-_BOX_HALFWIDTH, _BOX_HALFWIDTH, size=(sum(box_ks), dim))
+            box_at = 0
+            for j, (kind, k) in enumerate(zip(kinds, ks)):
+                if kind == _KIND_RANDOM_BOX:
+                    key, pts = start + j, box[box_at:box_at + k]
+                    box_at += k
                 else:
-                    key, pts = shape, fixed[shape]
-            configs.append((key, pts))
-            if key not in outcome:
-                groups.setdefault(len(pts), {})[key] = pts
+                    shape = _lattice_shape(kind, dim, k)
+                    if shape not in units:
+                        units[shape] = _unit_lattice(shape, dim)
+                        fixed[shape] = units[shape] * fixed_span
+                    if kind == _KIND_SCALED_LATTICE:
+                        key, pts = start + j, units[shape] * spans[j]
+                    else:
+                        key, pts = shape, fixed[shape]
+                configs.append((start + j, key, pts))
+                if key not in outcome:
+                    groups.setdefault(len(pts), {})[key] = pts
+        first, size = first + size, min(2 * size, _BATCH_CAP)
         groups = list(groups.values())
         solved = parallel_map(
-            lambda g: _solve_stack(profile, f0, tol, np.stack(list(groups[g].values()))),
+            lambda g: _solve_stack(profile, f0, tol, floor,
+                                   np.stack(list(groups[g].values()))),
             len(groups), threads)
         for group, results in zip(groups, solved):
             outcome.update(zip(group, results))
 
-        for j, (key, pts) in enumerate(configs):
+        for trial, key, pts in configs:
             result = outcome[key]
             if result is None:
                 skipped += 1
@@ -252,26 +301,25 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
             if lam_min < global_min:
                 global_min, global_min_pts = lam_min, pts
             if gram is not None:
-                witness = np.linalg.eigh(gram)[1][:, 0]
-                return PsdReport(
-                    points=pts,
-                    min_eigenvalue=global_min,
-                    tolerance=tol,
-                    verdict="refuted",
-                    witness=(witness, quadratic_form(gram, witness)),
-                    trials_run=start + j + 1,
-                    trials_skipped=skipped,
-                    configurations_solved=len(counted),
-                )
-    if skipped == trials:  # no trial was evaluated
-        global_min, global_min_pts = np.nan, np.zeros((1, dim))
+                refutation = trial + 1, pts, gram
+                break
+
+    verdict = "certified" if profile.t_max is None else "inconclusive"
+    trials_run, points, witness = trials, global_min_pts, None
+    if refutation is not None:
+        trials_run, points, gram = refutation
+        coefficients = np.linalg.eigh(gram)[1][:, 0]
+        verdict, witness = "refuted", (coefficients, quadratic_form(gram, coefficients))
+    elif skipped == trials:  # no trial was evaluated
+        global_min, points = np.nan, np.zeros((1, dim))
     return PsdReport(
-        points=global_min_pts,
+        points=points,
         min_eigenvalue=global_min,
         tolerance=tol,
-        verdict="certified" if profile.t_max is None else "inconclusive",
-        witness=None,
-        trials_run=trials,
+        verdict=verdict,
+        witness=witness,
+        trials_run=trials_run,
         trials_skipped=skipped,
         configurations_solved=len(counted),
+        eigensolves=sum(outcome[key][0] < np.inf for key in counted),
     )

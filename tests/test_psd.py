@@ -22,6 +22,7 @@ from schoenberg_lab import (
     quadratic_form,
     tabulated_profile,
 )
+from schoenberg_lab import psd
 from schoenberg_lab.psd import (
     _CHUNK,
     _KIND_LATTICE_1D,
@@ -172,6 +173,60 @@ def test_rayleigh_bound(seed):
     assert min_eigenvalue(g) <= rayleigh + 1e-10 * max(1.0, np.abs(g).max())
 
 
+def check_screen(gram, floor, tol=1e-8):
+    """Whatever the Cholesky screen passes must have a computed lambda_min
+    above ``floor``, and so must neither refute nor become the minimum."""
+    passed = bool(psd._screen(gram[None], floor)[0])
+    vals = np.linalg.eigvalsh(gram)
+    if passed:
+        assert vals[0] > floor
+        assert vals[0] >= -tol * max(1.0, abs(vals[0]), abs(vals[-1]))
+    return passed, vals[0]
+
+
+# Distance of the planted lambda_min from the screen's floor. 0 and 1e-15 sit
+# within rounding of the floor, where a screen without a margin goes wrong.
+OFFSETS = st.one_of(st.sampled_from([0.0, 1e-15]), st.floats(1e-13, 1e-9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pid=st.sampled_from(["gaussian", "cauchy", "exp-mixture", "triangle"]),
+       lattice=st.booleans(), k=st.integers(2, 64), dim=st.integers(1, 8),
+       span=st.floats(0.05, 6.0), offset=OFFSETS,
+       below=st.booleans(), seed=st.integers(0, 2**31 - 1))
+def test_screen_is_sound_on_catalog_grams(pid, lattice, k, dim, span, offset, below, seed):
+    # floor planted at, or just above or below, the Gram's own computed lambda_min,
+    # and clamped at -tol as certify clamps it
+    if lattice:
+        pts = np.zeros((k, dim))
+        pts[:, 0] = np.linspace(0.0, span, k)
+    else:
+        pts = np.random.default_rng(seed).uniform(-span, span, size=(k, dim))
+    gram = gram_matrix(catalog_profile(pid), pts)
+    floor = max(np.linalg.eigvalsh(gram)[0] + (-offset if below else offset), -1e-8)
+    passed, lam = check_screen(gram, floor)
+    if lam > floor + 1e-6:  # far above the margin: the screen must not be vacuous
+        assert passed
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 64), floor=st.floats(-1e-8, 1e-2), offset=OFFSETS,
+       below=st.booleans(), spread=st.floats(0.0, 4.0), seed=st.integers(0, 2**31 - 1))
+def test_screen_is_sound_on_planted_spectra(k, floor, offset, below, spread, seed):
+    # Q diag(lambda) Q^T with lambda_min planted at floor or 1e-13 to 1e-9 from it
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+
+    def planted(gap):
+        lam = floor + gap + rng.uniform(0.0, spread, size=k)
+        lam[0] = floor + gap
+        gram = (q * lam) @ q.T
+        return (gram + gram.T) / 2
+
+    check_screen(planted(-offset if below else offset), floor)
+    assert check_screen(planted(1e-6), floor)[0]
+
+
 class TestCertify:
     def test_gaussian_certified_in_r5(self):
         report = certify_psd(catalog_profile("gaussian"), dim=5, trials=1000,
@@ -212,16 +267,20 @@ class TestCertify:
         assert report.certified
 
     def test_deterministic_and_thread_invariant(self):
-        tri = catalog_profile("triangle")
-        a = certify_psd(tri, dim=2, trials=200, k_max=40, seed=12, threads=1)
-        b = certify_psd(tri, dim=2, trials=200, k_max=40, seed=12, threads=4)
-        assert a.verdict == b.verdict
-        assert a.trials_run == b.trials_run
-        assert a.min_eigenvalue == b.min_eigenvalue
-        np.testing.assert_array_equal(a.points, b.points)
-        if a.witness is not None:
-            np.testing.assert_array_equal(a.witness[0], b.witness[0])
-            assert a.witness[1] == b.witness[1]
+        # the Gaussian's 1000 trials (16 chunks) span six batches, so the screen runs
+        for pid, trials in (("triangle", 200), ("gaussian", 1000)):
+            f = catalog_profile(pid)
+            a = certify_psd(f, dim=2, trials=trials, k_max=40, seed=12, threads=1)
+            b = certify_psd(f, dim=2, trials=trials, k_max=40, seed=12, threads=4)
+            assert a.verdict == b.verdict
+            assert a.trials_run == b.trials_run
+            assert a.min_eigenvalue == b.min_eigenvalue
+            assert (a.configurations_solved, a.eigensolves) == (b.configurations_solved,
+                                                                b.eigensolves)
+            np.testing.assert_array_equal(a.points, b.points)
+            if a.witness is not None:
+                np.testing.assert_array_equal(a.witness[0], b.witness[0])
+                assert a.witness[1] == b.witness[1]
 
     def test_validates_arguments(self):
         f = catalog_profile("gaussian")
@@ -273,6 +332,7 @@ class TestCertify:
     @pytest.mark.parametrize("pid, dim, trials, k_max, seed", [
         ("cauchy", 2, 300, 64, 4),
         ("triangle", 1, 256, 30, 2),
+        ("gaussian", 5, 2000, 64, 1938),  # certify-sweep's size: the screen's main work
     ])
     def test_matches_oracle_at_more_settings(self, pid, dim, trials, k_max, seed):
         assert self.check_against_oracle(catalog_profile(pid), dim, trials, k_max, seed).certified
@@ -303,6 +363,7 @@ class TestCertify:
         distinct = {(pts.shape, pts.tobytes()) for pts in configs}
         assert report.configurations_solved == len(distinct)
         assert report.configurations_solved <= report.trials_run - report.trials_skipped
+        assert report.eigensolves <= report.configurations_solved
         return report
 
     def test_refutation_matches_oracle(self):
@@ -331,11 +392,24 @@ class TestCertify:
             solved.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
             return eigvalsh(a, *args, **kwargs)
 
+        # A Gram matrix is evaluated by an eigensolve or by the Cholesky
+        # screen, so count both.
+        screened = []
+        screen = psd._screen
+
+        def counting_screen(gram, floor):
+            passed = screen(gram, floor)
+            screened.append(int(passed.sum()))
+            return passed
+
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(psd, "_screen", counting_screen)
         report = certify_psd(catalog_profile("gaussian"), dim=3, trials=1000, k_max=12, seed=5)
         assert report.certified
-        assert sum(solved) <= 500 + 2 * 11
-        assert sum(solved) == report.configurations_solved
+        evaluated = sum(solved) + sum(screened)
+        assert evaluated <= 500 + 2 * 11
+        assert evaluated == report.configurations_solved
+        assert sum(solved) == report.eigensolves < evaluated
 
 
 @pytest.mark.parametrize("seed", range(20))
