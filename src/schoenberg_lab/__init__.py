@@ -51,7 +51,7 @@ __all__ = [
     "KeyIdentityResult",
     "MixingMeasure",
     "MonotonicityReport",
-        "PsdReport",
+    "PsdReport",
     "RadialProfile",
     "RecoveryProblem",
     "RecoveryResult",

@@ -10,12 +10,8 @@ report on stdout and the summary on stderr, and exits with:
 
 The randomized subcommands (certify, simulate, verify-identity and
 consistency) take ``--seed``, which defaults to the documented 1938. Only
-certify takes ``--threads`` (default 1, at least 1). certify draws its
-trials in chunks of 64, up to four chunks at a time, and evaluates them in
-groups of equal point count: a stacked Cholesky screen, then an eigensolve of
-the matrices the screen cannot rule out. The threads share the groups, which
-are small, so one thread is the default. Results are independent of the
-thread count.
+certify takes ``--threads`` (default 1, at least 1), and its results do not
+depend on the thread count; ``psd.certify_psd`` documents how it searches.
 A subcommand rejects an option it does not read. Every report records the
 resolved value of each option it takes, and ``stream_version``, the version
 of the seeded random streams that produced it.
@@ -118,13 +114,11 @@ def cmd_decompose(args) -> tuple[dict, bool, str]:
         raise ValueError(f"--s-max must be finite and > --s-min, got {args.s_max!r}")
     s_grid = np.logspace(np.log10(args.s_min), np.log10(args.s_max), args.s_points)
     if os.path.exists(args.profile):
-        problem = recover.RecoveryProblem.from_csv(args.profile, s_grid=s_grid,
-                                                   ridge=args.ridge)
+        t, f = profiles.read_tf_csv(args.profile)
     else:
-        profile = profiles.resolve_profile(args.profile)
-        t_grid = np.linspace(0.0, args.t_max, args.t_points)
-        problem = recover.RecoveryProblem(t_grid, profile(t_grid), s_grid,
-                                          ridge=args.ridge)
+        t = np.linspace(0.0, args.t_max, args.t_points)
+        f = profiles.resolve_profile(args.profile)(t)
+    problem = recover.RecoveryProblem(t, f, s_grid, ridge=args.ridge)
     result = recover.recover_mixing(problem)
     if args.out:
         result.measure.save(args.out)

@@ -77,10 +77,10 @@ class EmpiricalMeasure:
         bins = min(bins, n)
         edges = np.linspace(0, n, bins + 1).astype(int)
         scales, weights = [], []
+        # bins <= n, so consecutive edges differ by at least 1: no bin is empty
         for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi > lo:
-                scales.append(self.values[lo:hi].mean())
-                weights.append((hi - lo) / n)
+            scales.append(self.values[lo:hi].mean())
+            weights.append((hi - lo) / n)
         scales = np.asarray(scales)
         weights = np.asarray(weights)
         # merge duplicate atom positions produced by ties
@@ -90,24 +90,20 @@ class EmpiricalMeasure:
         return MixingMeasure(uniq, merged / merged.sum(), label=label)
 
 
-def _lln_values(measure: MixingMeasure, n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """reps independent draws of the LLN statistic S chi^2_n / n."""
-    scales = draw_scales(measure, reps, rng)
-    return scales * rng.chisquare(n, reps) / n
-
-
 def estimate_mixing(measure: MixingMeasure, n: int = 1000, reps: int = 100_000,
                     seed: int = 0) -> EmpiricalMeasure:
     """Empirical law of the LLN statistic over ``reps`` exchangeable draws.
 
     As n and reps grow this estimates the mixing measure itself: each
-    replicate's statistic concentrates at its latent scale.
+    replicate's statistic S chi^2_n / n concentrates at its latent scale S.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if reps < 100:
         raise ValueError("reps must be >= 100")
-    return EmpiricalMeasure(_lln_values(measure, n, reps, substream(seed, ROLE_SAMPLE)))
+    rng = substream(seed, ROLE_SAMPLE)
+    scales = draw_scales(measure, reps, rng)
+    return EmpiricalMeasure(scales * rng.chisquare(n, reps) / n)
 
 
 @dataclass(frozen=True)

@@ -71,9 +71,6 @@ class MixingMeasure:
         out = cum[np.searchsorted(self.scales, x, side="right")]
         return float(out) if x.ndim == 0 else out
 
-    def mean(self) -> float:
-        return float(self.scales @ self.weights)
-
     def to_dict(self) -> dict:
         return {
             "label": self.label,
@@ -244,9 +241,9 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(fa - fb).max())
 
 
-def ks_critical_value(count: int, alpha: float = KS_ALPHA) -> float:
-    """Asymptotic two-sample critical value c(alpha) * sqrt(2 / count)."""
-    return float(np.sqrt(-np.log(alpha / 2.0) / 2.0) * np.sqrt(2.0 / count))
+def ks_critical_value(count: int) -> float:
+    """Asymptotic two-sample critical value c(KS_ALPHA) * sqrt(2 / count)."""
+    return float(np.sqrt(-np.log(KS_ALPHA / 2.0) / 2.0) * np.sqrt(2.0 / count))
 
 
 def marginal_consistency_check(measure: MixingMeasure, dim: int, count: int = 10_000,

@@ -26,9 +26,6 @@ class MonotonicityReport:
     passed: bool
     first_failing_order: int | None
 
-    def worst(self, order: int) -> float:
-        return self.worst_by_order[order][1]
-
 
 def alternating_differences(g, u_grid: np.ndarray, h: float, order: int) -> np.ndarray:
     """(-1)^m Delta_h^m g(u) on the grid, for m = order."""

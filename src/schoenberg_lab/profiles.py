@@ -58,30 +58,14 @@ class RadialProfile:
                 f"got t up to {t.max()} (extrapolation is an error)"
             )
         out = self.fn(t)
-        return float(out) if np.isscalar(t) or t.ndim == 0 else np.asarray(out)
-
-
-def gaussian_profile() -> RadialProfile:
-    return RadialProfile("gaussian", lambda t: np.exp(-np.square(t) / 2.0))
-
-
-def cauchy_profile() -> RadialProfile:
-    return RadialProfile("cauchy", lambda t: np.exp(-t))
-
-
-def exp_mixture_profile() -> RadialProfile:
-    return RadialProfile("exp-mixture", lambda t: 1.0 / (1.0 + np.square(t) / 2.0))
-
-
-def triangle_profile() -> RadialProfile:
-    return RadialProfile("triangle", lambda t: np.maximum(0.0, 1.0 - t))
+        return float(out) if t.ndim == 0 else np.asarray(out)
 
 
 _CATALOG = {
-    "gaussian": gaussian_profile,
-    "cauchy": cauchy_profile,
-    "exp-mixture": exp_mixture_profile,
-    "triangle": triangle_profile,
+    "gaussian": lambda t: np.exp(-np.square(t) / 2.0),
+    "cauchy": lambda t: np.exp(-t),
+    "exp-mixture": lambda t: 1.0 / (1.0 + np.square(t) / 2.0),
+    "triangle": lambda t: np.maximum(0.0, 1.0 - t),
 }
 
 
@@ -92,11 +76,12 @@ def catalog_ids() -> list[str]:
 def catalog_profile(profile_id: str) -> RadialProfile:
     """Look up a catalog profile by string id."""
     try:
-        return _CATALOG[profile_id]()
+        fn = _CATALOG[profile_id]
     except KeyError:
         raise KeyError(
             f"unknown profile id {profile_id!r}; known: {', '.join(catalog_ids())}"
         ) from None
+    return RadialProfile(profile_id, fn)
 
 
 def tabulated_profile(t_nodes, f_nodes, label: str = "tabulated") -> RadialProfile:
@@ -159,7 +144,7 @@ def profile_from_csv(path) -> RadialProfile:
 def resolve_profile(spec: str) -> RadialProfile:
     """Catalog id, or a path to a tabulated-profile CSV."""
     if spec in _CATALOG:
-        return _CATALOG[spec]()
+        return catalog_profile(spec)
     from os.path import exists
 
     if exists(spec):

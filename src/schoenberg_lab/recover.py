@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import MixingMeasure, design_matrix, mixture_laplace
-from .profiles import read_tf_csv
 
 PENALTY_FACTOR = 1e3
 PRUNE_THRESHOLD = 1e-12
@@ -68,12 +67,6 @@ class RecoveryProblem:
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "f_values", f)
         object.__setattr__(self, "s_grid", s)
-
-    @classmethod
-    def from_csv(cls, path, s_grid=None, ridge: float = 0.0) -> "RecoveryProblem":
-        """Load (t, f) samples from a CSV with header ``t,f``."""
-        t, f = read_tf_csv(path)
-        return cls(t, f, s_grid if s_grid is not None else default_s_grid(), ridge=ridge)
 
 
 @dataclass(frozen=True)
@@ -134,10 +127,6 @@ def recover_mixing(problem: RecoveryProblem) -> RecoveryResult:
 # --- measure comparison ---------------------------------------------------
 
 
-def _cdf_on_grid(measure, grid: np.ndarray) -> np.ndarray:
-    return np.asarray(measure.cdf(grid), dtype=float)
-
-
 def _merged_support(a, b) -> np.ndarray:
     return np.union1d(np.asarray(a.support, dtype=float), np.asarray(b.support, dtype=float))
 
@@ -150,14 +139,10 @@ def wasserstein1(a, b) -> float:
     sum over the merged support.
     """
     grid = _merged_support(a, b)
-    fa = _cdf_on_grid(a, grid)
-    fb = _cdf_on_grid(b, grid)
-    if len(grid) == 1:
-        return 0.0
-    return float(np.sum(np.abs(fa - fb)[:-1] * np.diff(grid)))
+    return float(np.sum(np.abs(a.cdf(grid) - b.cdf(grid))[:-1] * np.diff(grid)))
 
 
 def ks_distance(a, b) -> float:
     """Sup-norm distance of the CDFs over the merged support."""
     grid = _merged_support(a, b)
-    return float(np.abs(_cdf_on_grid(a, grid) - _cdf_on_grid(b, grid)).max())
+    return float(np.abs(a.cdf(grid) - b.cdf(grid)).max())

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schoenberg_lab import cli
+from schoenberg_lab import catalog_profile, cli
 from schoenberg_lab.rng import STREAM_VERSION
 
 
@@ -134,6 +134,19 @@ class TestDecompose:
         assert code == 2
         assert payload["results"]["diagnostics"]["residual_norm"] > 0.01
         assert payload["pass"] is False
+
+    @pytest.mark.parametrize("extra", [(), ("--ridge", "1e-7")])
+    def test_csv_matches_catalog(self, capsys, tmp_path, extra):
+        # exact samples of the catalog profile on the default t grid
+        t = np.linspace(0.0, 4.0, 41)
+        f = catalog_profile("exp-mixture")(t)
+        path = tmp_path / "f.csv"
+        rows = "".join(f"{ti!r},{fi!r}\n" for ti, fi in zip(t.tolist(), f.tolist()))
+        path.write_text("t,f\n" + rows)
+        code_csv, from_csv, _ = run_cli(capsys, "decompose", str(path), *extra)
+        code_id, from_id, _ = run_cli(capsys, "decompose", "exp-mixture", *extra)
+        assert code_csv == code_id
+        assert from_csv["results"] == from_id["results"]
 
 
 class TestSimulate:
@@ -288,7 +301,7 @@ def test_montecarlo_commands_load_no_scipy():
     # tabulated profiles, so the de Finetti/LLN checks start on numpy alone
     script = """
 import contextlib, io, json, sys
-from schoenberg_lab import cli
+from schoenberg_lab import catalog_profile, cli
 codes = []
 for argv in [
     ["simulate", "delta:1", "--n", "10000", "--reps", "200", "--seed", "1"],
@@ -315,7 +328,7 @@ def test_certify_loads_no_scipy():
     # certified or refuted without any scipy module
     script = """
 import contextlib, io, json, sys
-from schoenberg_lab import cli
+from schoenberg_lab import catalog_profile, cli
 codes = []
 for argv in [
     ["certify", "gaussian", "--dim", "2", "--trials", "50", "--seed", "1"],

@@ -78,7 +78,7 @@ class TestEmpiricalMeasure:
         assert m.weights.sum() == pytest.approx(1.0)
         np.testing.assert_allclose(m.weights, 1.0 / 64, atol=1e-12)
         # binned measure preserves the mean
-        assert m.mean() == pytest.approx(emp.values.mean(), rel=1e-9)
+        assert m.scales @ m.weights == pytest.approx(emp.values.mean(), rel=1e-9)
 
     @pytest.mark.parametrize("bins", [0, -3])
     def test_binning_rejects_no_bins(self, bins):

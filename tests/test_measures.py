@@ -170,7 +170,7 @@ class TestKsHelpers:
 
     def test_critical_value(self):
         # c(0.01) = sqrt(-ln(0.005)/2) = 1.6276...
-        assert ks_critical_value(10_000, alpha=0.01) == pytest.approx(
+        assert ks_critical_value(10_000) == pytest.approx(
             1.6276 * np.sqrt(2.0 / 10_000), abs=1e-4)
 
 

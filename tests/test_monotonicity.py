@@ -54,9 +54,9 @@ def test_triangle_fails_by_order_three():
     assert report.first_failing_order is not None
     assert report.first_failing_order <= 3
     # the kink is convexity-compatible: orders 0..2 are clean
-    assert report.worst(0) >= -report.epsilon
-    assert report.worst(1) >= -report.epsilon
-    assert report.worst(2) >= -report.epsilon
+    assert report.worst_by_order[0][1] >= -report.epsilon
+    assert report.worst_by_order[1][1] >= -report.epsilon
+    assert report.worst_by_order[2][1] >= -report.epsilon
 
 
 def test_tabulated_domain_too_short_raises():

@@ -100,9 +100,16 @@ class TestCsv:
             profile_from_csv(path)
 
     def test_resolve_prefers_catalog(self, tmp_path):
-        assert resolve_profile("gaussian").label == "gaussian"
+        t = np.linspace(0.0, 4.0, 41)
+        for pid in catalog_ids():
+            resolved, looked_up = resolve_profile(pid), catalog_profile(pid)
+            assert resolved.label == looked_up.label == pid
+            np.testing.assert_array_equal(resolved(t), looked_up(t))
         path = tmp_path / "p.csv"
         path.write_text("t,f\n0,1\n1,0.4\n")
         assert resolve_profile(str(path))(1.0) == pytest.approx(0.4)
-        with pytest.raises(KeyError):
+        known = "cauchy, exp-mixture, gaussian, triangle"
+        with pytest.raises(KeyError, match=known):
             resolve_profile("no-such-thing")
+        with pytest.raises(KeyError, match=known):
+            catalog_profile("no-such-thing")

@@ -26,6 +26,7 @@ from schoenberg_lab import (
     recover_mixing,
     wasserstein1,
 )
+from schoenberg_lab.profiles import read_tf_csv
 from schoenberg_lab.recover import default_s_grid, default_t_grid
 
 
@@ -191,7 +192,7 @@ class TestRecoverMixing:
         t = np.linspace(0, 3, 13)
         rows = "\n".join(f"{ti},{np.exp(-ti**2 / 2)}" for ti in t)
         path.write_text("t,f\n" + rows + "\n")
-        problem = RecoveryProblem.from_csv(path)
+        problem = RecoveryProblem(*read_tf_csv(path))
         np.testing.assert_allclose(problem.t_grid, t)
         result = recover_mixing(problem)
         assert result.residual_norm <= 1e-6
