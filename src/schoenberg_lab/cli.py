@@ -113,7 +113,7 @@ def cmd_decompose(args) -> tuple[dict, bool, str]:
     if not args.s_min < args.s_max < np.inf:
         raise ValueError(f"--s-max must be finite and > --s-min, got {args.s_max!r}")
     s_grid = np.logspace(np.log10(args.s_min), np.log10(args.s_max), args.s_points)
-    if os.path.exists(args.profile):
+    if args.profile not in profiles.catalog_ids() and os.path.exists(args.profile):
         t, f = profiles.read_tf_csv(args.profile)
     else:
         t = np.linspace(0.0, args.t_max, args.t_points)
@@ -160,25 +160,25 @@ def cmd_simulate(args) -> tuple[dict, bool, str]:
 
 
 def cmd_verify_identity(args) -> tuple[dict, bool, str]:
-    if args.n_coarse >= args.n:
-        raise ValueError(f"--n-coarse must be < --n, got {args.n_coarse} >= {args.n}")
+    if not 1 <= args.n_coarse < args.n:  # the fine draws must not precede this error
+        raise ValueError(f"--n-coarse must be >= 1 and < --n, got {args.n_coarse}, {args.n}")
     profile = profiles.resolve_profile(args.profile)
     measure = measures.resolve_measure(args.measure)
     t_values = [float(v) for v in args.t.split(",")]
+    fines = definetti.key_identity_mc(profile, measure, t_values, n=args.n,
+                                      reps=args.reps, seed=args.seed)
+    coarses = definetti.identity_lhs(profile, t_values, n=args.n_coarse,
+                                     reps=args.reps, seed=args.seed)
     per_t = []
     all_pass = True
-    for idx, t in enumerate(t_values):
-        coarse = definetti.key_identity_mc(profile, measure, t, n=args.n_coarse,
-                                           reps=args.reps, seed=args.seed + idx)
-        fine = definetti.key_identity_mc(profile, measure, t, n=args.n,
-                                         reps=args.reps, seed=args.seed + idx)
+    for t, fine, (lhs_coarse, _) in zip(t_values, fines, coarses):
         sides_agree = fine.gap <= 3.0 * fine.combined_se
-        limit_improves = abs(fine.lhs - fine.f_of_t) < abs(coarse.lhs - coarse.f_of_t)
+        limit_improves = abs(fine.lhs - fine.f_of_t) < abs(lhs_coarse - fine.f_of_t)
         all_pass = all_pass and sides_agree and limit_improves
         per_t.append({
             "t": t, "lhs": fine.lhs, "rhs": fine.rhs,
             "lhs_se": fine.lhs_se, "rhs_se": fine.rhs_se, "f_of_t": fine.f_of_t,
-            "lhs_coarse": coarse.lhs, "n_coarse": args.n_coarse,
+            "lhs_coarse": lhs_coarse, "n_coarse": args.n_coarse,
             "sides_agree": sides_agree, "limit_improves": limit_improves,
         })
     summary = (f"verify-identity {profile.label} vs {measure.label}: "

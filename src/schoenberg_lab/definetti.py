@@ -15,7 +15,8 @@ Every replicated statistic depends on its n Gaussian draws only through
 sum Z_i^2, whose law is exactly chi-square with n degrees of freedom, so
 each replicate draws that one number instead of n normals: the LLN
 statistic is S chi^2_n / n, the left side f(t sqrt(chi^2_n / n)) and the
-right side exp(-t^2 S chi^2_n / (2n)).
+right side exp(-t^2 S chi^2_n / (2n)). None of these draws depends on t, so
+one set of replicates per sample size n serves every t.
 
 All simulated statistics are finite by construction; the degenerate
 infinite-limit event has no finite-sample counterpart here.
@@ -135,34 +136,41 @@ def check_profile_measure_match(profile: RadialProfile, measure: MixingMeasure) 
         )
 
 
-def key_identity_mc(profile: RadialProfile, measure: MixingMeasure, t: float,
-                    n: int = 1000, reps: int = 100_000, seed: int = 0) -> KeyIdentityResult:
-    """Monte Carlo both sides of the expectation identity at scale t.
+def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(len(values)))
 
-    lhs averages f(sqrt((1/n) sum X_i^2)) over i.i.d. N(0, t^2) probes;
-    rhs averages exp(-(t^2/2n) sum Y_i^2) over exchangeable draws from the
-    measure. The two streams are independent substreams of ``seed``; the
-    comparison is an equality of expectations, not a pathwise coupling.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
+
+def identity_lhs(profile: RadialProfile, t_values, n: int = 1000, reps: int = 100_000,
+                 seed: int = 0) -> list[tuple[float, float]]:
+    """Mean and standard error of f(t sqrt(chi^2_n / n)) at every t in ``t_values``."""
+    if not all(0 < t < np.inf for t in t_values):  # also rejects nan
+        raise ValueError("t must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
     if reps < 2:
         raise ValueError("reps must be >= 2")
+    root = np.sqrt(substream(seed, ROLE_LHS).chisquare(n, reps) / n)
+    return [_mean_and_se(profile(t * root)) for t in t_values]
+
+
+def key_identity_mc(profile: RadialProfile, measure: MixingMeasure, t_values,
+                    n: int = 1000, reps: int = 100_000, seed: int = 0) -> list[KeyIdentityResult]:
+    """Monte Carlo both sides of the expectation identity at every t in ``t_values``.
+
+    lhs averages f(sqrt((1/n) sum X_i^2)) over i.i.d. N(0, t^2) probes;
+    rhs averages exp(-(t^2/2n) sum Y_i^2) over exchangeable draws from the
+    measure. Each side draws once and evaluates every t, so equal t give
+    equal results. The two sides are independent substreams of ``seed``;
+    the comparison is an equality of expectations, not a pathwise coupling.
+    """
     check_profile_measure_match(profile, measure)
-
-    lhs_chi2 = substream(seed, ROLE_LHS).chisquare(n, reps)
-    lhs_vals = profile(t * np.sqrt(lhs_chi2 / n))
-
+    # identity_lhs checks t, n and reps before the first draw, and its draws
+    # are freed before the right side's are made
+    lhs = identity_lhs(profile, t_values, n=n, reps=reps, seed=seed)
     rhs_rng = substream(seed, ROLE_RHS)
     rhs_scales = draw_scales(measure, reps, rhs_rng)
-    rhs_vals = np.exp(-0.5 * t * t * rhs_scales * rhs_rng.chisquare(n, reps) / n)
-
-    return KeyIdentityResult(
-        lhs=float(lhs_vals.mean()),
-        rhs=float(rhs_vals.mean()),
-        lhs_se=float(lhs_vals.std(ddof=1) / np.sqrt(reps)),
-        rhs_se=float(rhs_vals.std(ddof=1) / np.sqrt(reps)),
-        f_of_t=float(profile(t)),
-    )
+    rhs_chi2 = rhs_rng.chisquare(n, reps)
+    rhs = [_mean_and_se(np.exp(-0.5 * t * t * rhs_scales * rhs_chi2 / n)) for t in t_values]
+    return [KeyIdentityResult(lhs=lhs_t[0], rhs=rhs_t[0], lhs_se=lhs_t[1], rhs_se=rhs_t[1],
+                              f_of_t=float(profile(t)))
+            for t, lhs_t, rhs_t in zip(t_values, lhs, rhs)]

@@ -10,7 +10,9 @@ every CLI report records it. Version 2 draws one chi-square variate per Monte
 Carlo replicate where version 1 drew n standard normals. Version 3 draws
 certify's trials in chunks of 64: one substream per chunk, keyed by the chunk
 index, yields the point counts, spans and box points of all its trials as
-arrays, where version 2 derived one substream per trial.
+arrays, where version 2 derived one substream per trial. Version 4 draws
+verify-identity's replicates once per n for every t, where version 3 drew them
+anew for the i-th t at seed + i; row 0 of its report is unchanged.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 # Role tags keep substreams of one seed disjoint across call sites.
 ROLE_TRIAL = 1

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schoenberg_lab import catalog_profile, cli
-from schoenberg_lab.rng import STREAM_VERSION
+from schoenberg_lab import catalog_profile, cli, definetti
+from schoenberg_lab.rng import ROLE_LHS, ROLE_RHS, STREAM_VERSION
 
 
 def child_env():
@@ -59,8 +59,9 @@ class TestCertify:
                                       run, skipped, solved, form):
         # the benchmark's seven certify cases at seed 1938, pinned exactly:
         # the Cholesky screen may skip eigensolves but must not move a result,
-        # and any change to the draws must come with a STREAM_VERSION bump
-        assert STREAM_VERSION == 3
+        # and any change to the draws must come with a STREAM_VERSION bump;
+        # version 4 changed only verify-identity's draws
+        assert STREAM_VERSION == 4
         table = tmp_path / "triangle.csv"
         t = np.linspace(0.0, 1.0, 101)
         table.write_text("t,f\n" + "".join(f"{a!r},{1.0 - a!r}\n" for a in t.tolist()))
@@ -148,6 +149,20 @@ class TestDecompose:
         assert code_csv == code_id
         assert from_csv["results"] == from_id["results"]
 
+    def test_catalog_id_wins_over_a_file_of_that_name(self, capsys, tmp_path, monkeypatch):
+        # decompose and cm-check resolve a profile id the same way: the
+        # catalog first, so a t,f file named "gaussian" in the working
+        # directory does not shadow the catalog Gaussian
+        reference = {}
+        for command in (["decompose", "gaussian"], ["cm-check", "gaussian"]):
+            code, payload, _ = run_cli(capsys, *command)
+            reference[command[0]] = (code, payload["results"])
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gaussian").write_text("t,f\n0.0,1.0\n1.0,0.5\n2.0,0.25\n")
+        for command in (["decompose", "gaussian"], ["cm-check", "gaussian"]):
+            code, payload, _ = run_cli(capsys, *command)
+            assert (code, payload["results"]) == reference[command[0]]
+
 
 class TestSimulate:
     def test_unit_dirac(self, capsys, tmp_path):
@@ -211,6 +226,70 @@ class TestVerifyIdentity:
                                      "--t", "1", "--reps", "1000", "--seed", "5")
         assert code == 1
         assert "disagree" in err
+
+    # per_t[0] at seed 1938 as stream version 3 reported it, which version 4
+    # keeps bit for bit; the rows after it are new in version 4
+    ROW_0_AT_1938 = {
+        "0.5,1,2": (0.5, 0.8825301649423374, 0.8825021162746298, 1.5570457847224836e-05,
+                    1.5676171129472413e-05, 0.8824969025845953, 0.8840533209501338),
+        "0.7,1.3": (0.7, 0.7827852842373322, 0.7827368368023145, 2.7063446895615394e-05,
+                    2.7245004869175556e-05, 0.7827045382418681, 0.7875951707002399),
+    }
+
+    @pytest.mark.parametrize("t_list", sorted(ROW_0_AT_1938))
+    def test_row_0_is_pinned(self, capsys, t_list):
+        assert STREAM_VERSION == 4
+        code, payload, _ = run_cli(capsys, "verify-identity", "gaussian", "delta:1",
+                                   "--t", t_list, "--seed", "1938")
+        assert code == 0
+        row = payload["results"]["per_t"][0]
+        keys = ("t", "lhs", "rhs", "lhs_se", "rhs_se", "f_of_t", "lhs_coarse")
+        assert tuple(row[k] for k in keys) == self.ROW_0_AT_1938[t_list]
+
+    def test_each_row_equals_its_single_t_run(self, capsys):
+        common = ("gaussian", "delta:1", "--n", "200", "--reps", "5000", "--seed", "7")
+        _, payload, _ = run_cli(capsys, "verify-identity", *common, "--t", "0.5,1,2")
+        rows = payload["results"]["per_t"]
+        assert [row["t"] for row in rows] == [0.5, 1.0, 2.0]
+        for row in rows:
+            _, single, _ = run_cli(capsys, "verify-identity", *common, "--t", repr(row["t"]))
+            assert single["results"]["per_t"] == [row]
+
+    def test_coarse_path_draws_no_right_side(self, capsys, monkeypatch):
+        keys, scale_draws = [], []
+        substream, draw_scales = definetti.substream, definetti.draw_scales
+
+        def counting_substream(seed, *key):
+            keys.append((seed, *key))
+            return substream(seed, *key)
+
+        def counting_draw_scales(measure, count, rng):
+            scale_draws.append(count)
+            return draw_scales(measure, count, rng)
+
+        monkeypatch.setattr(definetti, "substream", counting_substream)
+        monkeypatch.setattr(definetti, "draw_scales", counting_draw_scales)
+        code, _, _ = run_cli(capsys, "verify-identity", "gaussian", "delta:1",
+                             "--t", "0.5,1,2", "--n", "100", "--reps", "1000", "--seed", "3")
+        assert code == 0
+        # one fine left side, one fine right side, one coarse left side
+        assert sorted(keys) == [(3, ROLE_LHS), (3, ROLE_LHS), (3, ROLE_RHS)]
+        assert scale_draws == [1000]
+
+    @pytest.mark.parametrize("argv", [
+        ("gaussian", "exp:1", "--t", "1"),
+        ("gaussian", "delta:1", "--t", "1", "--reps", "1"),
+        ("gaussian", "delta:1", "--t", "1,-1"),
+        ("gaussian", "delta:1", "--t", "1,nan"),
+        ("gaussian", "delta:1", "--t", "1", "--n-coarse", "0"),
+    ])
+    def test_bad_input_is_rejected_before_any_draw(self, capsys, monkeypatch, argv):
+        def no_draws(seed, *key):
+            raise AssertionError("drew before validating")
+
+        monkeypatch.setattr(definetti, "substream", no_draws)
+        code, _, _ = run_cli(capsys, "verify-identity", *argv)
+        assert code == 1
 
 
 class TestConsistency:

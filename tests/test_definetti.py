@@ -1,5 +1,7 @@
 """The LLN estimate of the mixing measure and the identity checker."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance
@@ -14,6 +16,8 @@ from schoenberg_lab import (
     key_identity_mc,
     wasserstein1,
 )
+from schoenberg_lab import definetti
+from schoenberg_lab.rng import ROLE_LHS, ROLE_RHS
 
 
 class TestEstimateMixing:
@@ -95,8 +99,8 @@ class TestKeyIdentity:
     def test_unit_dirac_matches_chi_square_mgf(self, n, pinned):
         # exact oracle: E exp(-(t^2/2n) chi^2_n) = (1 + t^2/n)^(-n/2)
         t, reps = 1.0, 100_000
-        res = key_identity_mc(catalog_profile("gaussian"), dirac(1.0), t,
-                              n=n, reps=reps, seed=9)
+        [res] = key_identity_mc(catalog_profile("gaussian"), dirac(1.0), [t],
+                                n=n, reps=reps, seed=9)
         exact = (1.0 + t**2 / n) ** (-n / 2.0)
         assert exact == pytest.approx(pinned, abs=1e-4)
         assert res.gap <= 3.0 * res.combined_se
@@ -105,14 +109,14 @@ class TestKeyIdentity:
         assert res.f_of_t == pytest.approx(np.exp(-0.5))
 
     def test_tiny_t_degenerates_to_one(self):
-        res = key_identity_mc(catalog_profile("gaussian"), dirac(1.0), t=1e-6,
-                              n=100, reps=1000, seed=10)
+        [res] = key_identity_mc(catalog_profile("gaussian"), dirac(1.0), [1e-6],
+                                n=100, reps=1000, seed=10)
         assert res.lhs == pytest.approx(1.0, abs=1e-6)
         assert res.rhs == pytest.approx(1.0, abs=1e-6)
 
     def test_exp_mixture_two_sided(self):
-        res = key_identity_mc(catalog_profile("exp-mixture"), exponential_measure(),
-                              t=1.0, n=1000, reps=30_000, seed=11)
+        [res] = key_identity_mc(catalog_profile("exp-mixture"), exponential_measure(),
+                                [1.0], n=1000, reps=30_000, seed=11)
         assert res.gap <= 3.0 * res.combined_se
 
     @pytest.mark.parametrize("pid,measure_factory", [
@@ -122,15 +126,24 @@ class TestKeyIdentity:
     def test_limit_improves_with_n(self, pid, measure_factory):
         f = catalog_profile(pid)
         measure = measure_factory()
-        for t in (0.5, 1.0, 2.0):
-            coarse = key_identity_mc(f, measure, t, n=10, reps=100_000, seed=12)
-            fine = key_identity_mc(f, measure, t, n=1000, reps=100_000, seed=12)
+        t_values = [0.5, 1.0, 2.0]
+        coarses = key_identity_mc(f, measure, t_values, n=10, reps=100_000, seed=12)
+        fines = key_identity_mc(f, measure, t_values, n=1000, reps=100_000, seed=12)
+        for coarse, fine in zip(coarses, fines, strict=True):
             assert abs(fine.lhs - fine.f_of_t) < abs(coarse.lhs - coarse.f_of_t)
 
-    def test_mismatched_inputs_rejected(self):
+    @staticmethod
+    def forbid_draws(monkeypatch):
+        def no_draws(seed, *key):
+            raise AssertionError("drew before validating")
+
+        monkeypatch.setattr(definetti, "substream", no_draws)
+
+    def test_mismatched_inputs_rejected(self, monkeypatch):
+        self.forbid_draws(monkeypatch)
         with pytest.raises(InconsistentInputsError):
             key_identity_mc(catalog_profile("gaussian"), exponential_measure(),
-                            t=1.0, n=10, reps=100, seed=13)
+                            [1.0], n=10, reps=100, seed=13)
 
     def test_matched_catalog_pairs_accepted(self):
         # the levy measure reproduces the cauchy profile only up to its
@@ -138,21 +151,51 @@ class TestKeyIdentity:
         from schoenberg_lab import levy_measure
 
         key_identity_mc(catalog_profile("cauchy"), levy_measure(),
-                        t=1.0, n=10, reps=100, seed=14)
+                        [1.0], n=10, reps=100, seed=14)
 
     def test_deterministic(self):
-        a = key_identity_mc(catalog_profile("gaussian"), dirac(1.0), 1.0,
-                            n=100, reps=2000, seed=15)
-        b = key_identity_mc(catalog_profile("gaussian"), dirac(1.0), 1.0,
-                            n=100, reps=2000, seed=15)
+        [a] = key_identity_mc(catalog_profile("gaussian"), dirac(1.0), [1.0],
+                              n=100, reps=2000, seed=15)
+        [b] = key_identity_mc(catalog_profile("gaussian"), dirac(1.0), [1.0],
+                              n=100, reps=2000, seed=15)
         assert (a.lhs, a.rhs, a.lhs_se, a.rhs_se) == (b.lhs, b.rhs, b.lhs_se, b.rhs_se)
 
-    def test_rejects_bad_arguments(self):
+    def test_rejects_bad_arguments(self, monkeypatch):
+        self.forbid_draws(monkeypatch)  # each check comes before the first draw
         f, measure = catalog_profile("gaussian"), dirac(1.0)
-        with pytest.raises(ValueError, match="t must be positive"):
-            key_identity_mc(f, measure, t=0.0, n=10, reps=100)
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            key_identity_mc(f, measure, t=1.0, n=0, reps=100)
-        # one replicate has no standard error
-        with pytest.raises(ValueError, match="reps must be >= 2"):
-            key_identity_mc(f, measure, t=1.0, n=10, reps=1)
+        for identity in (partial(key_identity_mc, f, measure), partial(definetti.identity_lhs, f)):
+            with pytest.raises(ValueError, match="t must be positive"):
+                identity([1.0, 0.0], n=10, reps=100)
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                identity([1.0], n=0, reps=100)
+            # one replicate has no standard error
+            with pytest.raises(ValueError, match="reps must be >= 2"):
+                identity([1.0], n=10, reps=1)
+
+    @pytest.mark.parametrize("t_values", [[1.0], [0.5, 1.0, 2.0], [0.1 * k for k in range(1, 9)]])
+    def test_one_draw_per_side_whatever_the_number_of_t(self, monkeypatch, t_values):
+        keys = []
+        substream = definetti.substream
+
+        def counting_substream(seed, *key):
+            keys.append((seed, *key))
+            return substream(seed, *key)
+
+        monkeypatch.setattr(definetti, "substream", counting_substream)
+        key_identity_mc(catalog_profile("gaussian"), dirac(1.0), t_values,
+                        n=50, reps=500, seed=16)
+        assert sorted(keys) == [(16, ROLE_LHS), (16, ROLE_RHS)]
+
+    def test_rows_depend_only_on_their_own_t(self):
+        f, measure = catalog_profile("exp-mixture"), exponential_measure()
+        rows = key_identity_mc(f, measure, [2.0, 0.5, 2.0], n=100, reps=3000, seed=17)
+        assert rows[0] == rows[2]
+        [alone] = key_identity_mc(f, measure, [0.5], n=100, reps=3000, seed=17)
+        assert alone == rows[1]
+
+    def test_left_side_alone_matches_the_full_call(self):
+        f, measure = catalog_profile("gaussian"), dirac(1.0)
+        t_values = [0.5, 1.0, 2.0]
+        rows = key_identity_mc(f, measure, t_values, n=10, reps=2000, seed=18)
+        lhs = definetti.identity_lhs(f, t_values, n=10, reps=2000, seed=18)
+        assert lhs == [(row.lhs, row.lhs_se) for row in rows]
