@@ -128,6 +128,9 @@ def cmd_decompose(args) -> tuple[dict, bool, str]:
         "diagnostics": {
             "residual_norm": result.residual_norm,
             "mass_deficit": result.mass_deficit,
+            "kkt_violation": result.kkt_violation,
+            "kkt_tolerance": result.kkt_tolerance,
+            "columns_solved": result.columns_solved,
         },
     }
     summary = (f"decompose {args.profile}: residual {result.residual_norm:.3e} "

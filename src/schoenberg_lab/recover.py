@@ -11,6 +11,17 @@ The problem is severely ill-conditioned: pointwise atom recovery is not
 achievable and the comparison metrics (W1, KS) are deliberately weak.
 Mass normalization is enforced with a heavily weighted penalty row followed
 by exact renormalization.
+
+Lawson-Hanson adds about one atom per iteration, so its cost grows with the
+number of candidate scales. ``recover_mixing`` therefore solves on every 8th
+scale first, then on the scales within 8 grid points of that solution's
+atoms, and then checks the KKT conditions on the full grid: a scale left out
+whose objective gradient is negative beyond the solver's own accuracy joins
+the working set, and the solve repeats until no such scale is left. With
+ridge > 0 the objective is strictly convex, so the result is the full-grid
+optimum. With ridge 0 it attains the full-grid optimal objective, but the
+optimal weights need not be unique, so they can differ from those of a
+solve on the whole grid.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ from .measures import MixingMeasure, design_matrix, mixture_laplace
 
 PENALTY_FACTOR = 1e3
 PRUNE_THRESHOLD = 1e-12
+COARSE_STRIDE = 8  # the first solve runs on every 8th scale
+WINDOW = 8  # the second on the scales within 8 grid points of its atoms
 
 
 def default_t_grid() -> np.ndarray:
@@ -74,14 +87,17 @@ class RecoveryResult:
     measure: MixingMeasure
     residual_norm: float  # RMS over t_grid of the final measure's misfit
     mass_deficit: float  # |1 - sum w| of the raw solution, before renormalization
+    kkt_violation: float  # max(0, -gradient) over the full grid's zero atoms
+    kkt_tolerance: float  # the bound kkt_violation was judged against
+    columns_solved: int  # scales in the final solve's working set
 
 
-def nnls(A, b, ridge: float = 0.0) -> tuple[np.ndarray, float]:
+def nnls(A, b, ridge: float = 0.0, maxiter: int | None = None) -> tuple[np.ndarray, float]:
     """Solve min ||Aw - b||^2 + ridge ||w||^2 subject to w >= 0.
 
     The ridge enters as sqrt(ridge) * I rows stacked under A. Returns
     scipy.optimize.nnls's (w, rnorm) on the stacked problem; scipy raises
-    RuntimeError when its iteration cap is exceeded.
+    RuntimeError after ``maxiter`` iterations (default 3 * A's columns).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -89,28 +105,35 @@ def nnls(A, b, ridge: float = 0.0) -> tuple[np.ndarray, float]:
         raise ValueError(f"shape mismatch: A is {A.shape}, b has length {len(b)}")
     if ridge > 0:
         m, n = A.shape
-        A = np.concatenate([A, np.zeros((n, n))])
-        np.fill_diagonal(A[m:], np.sqrt(ridge))
+        stacked = np.zeros((m + n, n))
+        stacked[:m] = A
+        np.fill_diagonal(stacked[m:], np.sqrt(ridge))
+        A = stacked
         b = np.concatenate([b, np.zeros(n)])
     import scipy.optimize  # deferred: slow to import
 
-    return scipy.optimize.nnls(A, b)
+    return scipy.optimize.nnls(A, b, maxiter=maxiter)
 
 
 def recover_mixing(problem: RecoveryProblem) -> RecoveryResult:
     """Solve the inverse problem and package the result as a MixingMeasure.
 
-    A penalty row of ones, weighted by 1e3 * max|A|, softly enforces total
-    mass 1 during the solve. Atoms below the pruning threshold are dropped
+    A penalty row of ones, weighted by PENALTY_FACTOR * max|A| =
+    PENALTY_FACTOR (the t = 0 row of A is all ones and no entry exceeds
+    1), softly enforces total mass 1 during the solve. The solve runs on a
+    coarse grid, then on windows around its atoms, then to KKT on the full
+    grid (module docstring). Atoms below the pruning threshold are dropped
     and the output weights renormalized exactly, so the returned measure is
     always a valid probability measure; ``mass_deficit`` records how far the
     raw solution was from unit mass.
     """
-    A = design_matrix(problem.t_grid, problem.s_grid)
-    penalty = PENALTY_FACTOR * float(np.abs(A).max())
-    rows = np.vstack([A, penalty * np.ones((1, A.shape[1]))])
-    rhs = np.concatenate([problem.f_values, [penalty]])
-    w, _ = nnls(rows, rhs, ridge=problem.ridge)
+    n = len(problem.s_grid)
+    if n <= WINDOW + 1:  # a window around any scale covers this grid
+        working = np.arange(n)
+    else:
+        coarse = _solve_on(problem, np.arange(0, n, COARSE_STRIDE))
+        working = _windows(np.flatnonzero(coarse), n)
+    w, working, violation, tolerance = _solve_to_kkt(problem, working)
 
     keep = w > PRUNE_THRESHOLD
     if not np.any(keep):
@@ -121,7 +144,75 @@ def recover_mixing(problem: RecoveryProblem) -> RecoveryResult:
     measure = MixingMeasure(scales, weights / weights.sum(), label="recovered")
     fitted = mixture_laplace(measure, problem.t_grid)
     residual = float(np.sqrt(np.mean(np.square(fitted - problem.f_values))))
-    return RecoveryResult(measure=measure, residual_norm=residual, mass_deficit=deficit)
+    return RecoveryResult(measure=measure, residual_norm=residual, mass_deficit=deficit,
+                          kkt_violation=violation, kkt_tolerance=tolerance,
+                          columns_solved=len(working))
+
+
+def _solve_on(problem: RecoveryProblem, columns) -> np.ndarray:
+    """The penalised problem solved on ``columns`` of the scale grid; zero weight elsewhere.
+
+    Only those columns of the design matrix are built; with the penalty row
+    under them they form the matrix handed to ``nnls``. Every solve gets the
+    iteration budget of a full-grid solve, 3 per grid scale: a coarse grid
+    can take Lawson-Hanson more iterations than its own 3 per column.
+    """
+    m, n = len(problem.t_grid), len(problem.s_grid)
+    rows = np.empty((m + 1, len(columns)))
+    rows[:m] = design_matrix(problem.t_grid, problem.s_grid[columns])
+    rows[m] = PENALTY_FACTOR
+    w = np.zeros(n)
+    w[columns], _ = nnls(rows, np.append(problem.f_values, PENALTY_FACTOR),
+                         ridge=problem.ridge, maxiter=3 * n)
+    return w
+
+
+def _windows(atoms, n: int) -> np.ndarray:
+    """Sorted grid indices within WINDOW points of any of ``atoms``."""
+    near = np.add.outer(atoms, np.arange(-WINDOW, WINDOW + 1))
+    return np.unique(np.clip(near, 0, n - 1))
+
+
+def _solve_to_kkt(problem: RecoveryProblem, working):
+    """Solve on ``working`` and add scales until the KKT conditions hold on the full grid.
+
+    The objective is 0.5 (||Aw - f||^2 + (p sum(w) - p)^2 + ridge ||w||^2)
+    with p = PENALTY_FACTOR, and w >= 0 is optimal when its gradient is zero
+    on the atoms and nonnegative on the zero atoms. A scale outside the
+    working set joins it when its gradient is below -tolerance, where
+    tolerance is the solve's own KKT residual on the working set plus the
+    gradient of one rounding unit in the penalty row's residual,
+    p * spacing(p). Each round adds a scale, so the loop ends, at the latest
+    with the whole grid.
+
+    Returns (w on the full grid, final working set, the largest violation
+    max(0, -gradient) over zero atoms, the tolerance it was judged against).
+    """
+    p, n = PENALTY_FACTOR, len(problem.s_grid)
+    while True:
+        w = _solve_on(problem, working)
+        grad = _gradient(problem, w)
+        solved, atoms = grad[working], w[working] > 0
+        tolerance = float(p * np.spacing(p) + max(np.abs(solved[atoms]).max(initial=0.0),
+                                                  -solved[~atoms].min(initial=0.0)))
+        outside = np.ones(n, dtype=bool)
+        outside[working] = False
+        entering = np.flatnonzero(outside & (grad < -tolerance))
+        if len(entering) == 0:
+            violation = max(0.0, -float(grad[w == 0].min(initial=0.0)))
+            return w, working, violation, tolerance
+        working = np.union1d(working, entering)
+
+
+def _gradient(problem: RecoveryProblem, w) -> np.ndarray:
+    """The objective's gradient at w over the full grid.
+
+    The full design matrix is built here, after a solve has released its
+    matrices, so the two never take memory at the same time.
+    """
+    A = design_matrix(problem.t_grid, problem.s_grid)
+    p = PENALTY_FACTOR
+    return A.T @ (A @ w - problem.f_values) + p * (p * w.sum() - p) + problem.ridge * w
 
 
 # --- measure comparison ---------------------------------------------------

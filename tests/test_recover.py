@@ -5,6 +5,11 @@
 forward-model constructions provide the recovery truths.
 """
 
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -26,7 +31,8 @@ from schoenberg_lab import (
     recover_mixing,
     wasserstein1,
 )
-from schoenberg_lab.profiles import read_tf_csv
+from schoenberg_lab import cli, recover
+from schoenberg_lab.profiles import catalog_ids, read_tf_csv
 from schoenberg_lab.recover import default_s_grid, default_t_grid
 
 
@@ -187,6 +193,39 @@ class TestRecoverMixing:
         with pytest.raises(ValueError, match="ridge must be finite"):
             RecoveryProblem(np.array([0.0, 1.0]), np.array([1.0, 0.5]), ridge=float("nan"))
 
+    @pytest.mark.parametrize("pid,ridge", [
+        ("gaussian", 0.0), ("exp-mixture", 0.0), ("exp-mixture", 1e-7), ("cauchy", 1e-7),
+    ])
+    def test_kkt_loop_finds_atoms_missing_from_its_start(self, pid, ridge):
+        # started from every 8th scale minus the optimum's atoms, the loop
+        # must pull those scales in until it reaches the full-grid objective
+        t, s = default_t_grid(), default_s_grid()
+        f = catalog_profile(pid)(t)
+        a = design_matrix(t, s)
+        reference = full_grid_nnls(a, f, ridge)
+        start = np.setdiff1d(np.arange(0, len(s), 8), np.flatnonzero(reference))
+        w, working, violation, tolerance = recover._solve_to_kkt(
+            RecoveryProblem(t, f, s, ridge=ridge), start)
+        assert len(working) > len(start)
+        assert violation <= tolerance
+        theirs = penalised_objective(a, f, ridge, reference)
+        ours = penalised_objective(a, f, ridge, w)
+        assert ours <= theirs * (1 + OBJECTIVE_RTOL) + OBJECTIVE_ATOL
+
+    def test_coarse_solve_gets_the_full_grid_iteration_budget(self):
+        # (1 + t) e^{-t} on 81 x 481 at ridge 0: Lawson-Hanson on the 61
+        # coarse scales needs more than its own default 3 * 61 iterations
+        t, s = np.linspace(0.0, 4.0, 81), np.logspace(-3.0, 3.0, 481)
+        f = (1.0 + t) * np.exp(-t)
+        coarse = np.arange(0, len(s), recover.COARSE_STRIDE)
+        a = design_matrix(t, s)[:, coarse]
+        rows = np.vstack([a, PENALTY * np.ones((1, len(coarse)))])
+        with pytest.raises(RuntimeError, match="iterations"):
+            scipy.optimize.nnls(rows, np.append(f, PENALTY))
+        result = recover_mixing(RecoveryProblem(t, f, s))
+        assert result.residual_norm <= 1e-12
+        assert result.kkt_violation <= result.kkt_tolerance
+
     def test_csv_loading(self, tmp_path):
         path = tmp_path / "f.csv"
         t = np.linspace(0, 3, 13)
@@ -196,6 +235,119 @@ class TestRecoverMixing:
         np.testing.assert_allclose(problem.t_grid, t)
         result = recover_mixing(problem)
         assert result.residual_norm <= 1e-6
+
+
+PENALTY = recover.PENALTY_FACTOR  # max|A| is 1: the t = 0 row is all ones
+# Tolerances for matching a full-grid solve. Both solves meet KKT to ~1e-9
+# in the gradient. At ridge > 0 their objectives then agree to 2.8e-6
+# relative at worst (cauchy at ridge 1e-7, started without the optimum's
+# atoms). At ridge 0 the exact fits are not unique, and the KKT-certified
+# objective can sit up to 1e-19 above an optimum of ~1e-26 (cauchy, same
+# start), an RMS misfit of 5e-11.
+OBJECTIVE_RTOL = 1e-5
+OBJECTIVE_ATOL = 1e-18
+
+
+def full_grid_nnls(a, f, ridge):
+    """The reference: one scipy NNLS solve on every scale, rows stacked explicitly."""
+    n = a.shape[1]
+    rows = np.vstack([a, PENALTY * np.ones((1, n)), np.sqrt(ridge) * np.eye(n)])
+    w, _ = scipy.optimize.nnls(rows, np.concatenate([f, [PENALTY], np.zeros(n)]))
+    return w
+
+
+def penalised_objective(a, f, ridge, w):
+    """The objective recover_mixing minimises, without the factor 1/2."""
+    return (np.sum((a @ w - f) ** 2) + (PENALTY * w.sum() - PENALTY) ** 2
+            + ridge * np.sum(w ** 2))
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, whose decompose cases TestFullGridReference covers."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _perfbench_workloads()
+# At ridge > 0 the misfit is ~1e-7 of the objective, which the ridge term
+# dominates, so near-optimal fits differ in RMS by percents: 2.2% for
+# exp-mixture at ridge 1e-7. Ridge-0 exact fits differ in noise of ~5e-14.
+RESIDUAL_RTOL = 0.05
+RESIDUAL_ATOL = 1e-12
+
+
+def decompose_with_reference(capsys, argv):
+    """decompose's weights and diagnostics, and the full-grid reference's weights.
+
+    Both weight vectors are on decompose's scale grid, pruned and
+    renormalized as decompose reports them. Returns (args, A, f, ours,
+    reference, diagnostics).
+    """
+    args = cli.build_parser().parse_args(argv)
+    if args.profile in catalog_ids():
+        t = np.linspace(0.0, args.t_max, args.t_points)
+        f = catalog_profile(args.profile)(t)
+    else:
+        t, f = read_tf_csv(args.profile)
+    s = np.logspace(np.log10(args.s_min), np.log10(args.s_max), args.s_points)
+    cli.main(argv)
+    results = json.loads(capsys.readouterr().out)["results"]
+    scales = [atom["s"] for atom in results["measure"]["atoms"]]
+    index = np.searchsorted(s, scales)
+    np.testing.assert_array_equal(s[index], scales)
+    ours = np.zeros(len(s))
+    ours[index] = [atom["w"] for atom in results["measure"]["atoms"]]
+
+    a = design_matrix(t, s)
+    reference = full_grid_nnls(a, f, args.ridge)
+    reference[reference <= recover.PRUNE_THRESHOLD] = 0.0
+    reference /= reference.sum()
+    return args, a, f, ours, reference, results["diagnostics"]
+
+
+class TestFullGridReference:
+    """decompose's report against one scipy solve over the whole scale grid."""
+
+    @pytest.mark.parametrize("argv", [
+        *WORKLOADS.CATALOG_PD_DECOMPOSE,
+        "decompose triangle",
+        "decompose SAMPLES",  # the benchmark's generated exp-mixture samples CSV
+    ])
+    def test_report_matches_full_grid_solve(self, capsys, tmp_path, argv):
+        argv = argv.split()
+        if argv[1] == "SAMPLES":
+            argv[1] = WORKLOADS.write_inputs(tmp_path)["samples"]
+        args, a, f, ours, reference, diagnostics = decompose_with_reference(capsys, argv)
+        rms = float(np.sqrt(np.mean((a @ reference - f) ** 2)))
+        assert abs(diagnostics["residual_norm"] - rms) <= RESIDUAL_RTOL * rms + RESIDUAL_ATOL
+        theirs = penalised_objective(a, f, args.ridge, reference)
+        assert (abs(penalised_objective(a, f, args.ridge, ours) - theirs)
+                <= OBJECTIVE_RTOL * theirs + OBJECTIVE_ATOL)
+        assert diagnostics["kkt_violation"] <= diagnostics["kkt_tolerance"]
+        assert diagnostics["columns_solved"] < args.s_points
+
+    @pytest.mark.parametrize("points", [1, 2, 8, 9])
+    def test_grid_inside_one_window_is_solved_once_whole(self, capsys, monkeypatch, points):
+        # a window around any scale covers a grid of at most 9 scales, so the
+        # coarse grid is the whole grid and no second solve follows
+        solved = []
+        nnls = recover.nnls
+
+        def counted(A, b, **kwargs):
+            solved.append(A.shape[1])
+            return nnls(A, b, **kwargs)
+
+        monkeypatch.setattr(recover, "nnls", counted)
+        argv = ["decompose", "exp-mixture", "--ridge", "1e-7", "--s-points", str(points)]
+        _, _, _, ours, reference, diagnostics = decompose_with_reference(capsys, argv)
+        assert solved == [points]
+        assert diagnostics["columns_solved"] == points
+        assert diagnostics["kkt_violation"] <= diagnostics["kkt_tolerance"]
+        np.testing.assert_allclose(ours, reference, rtol=1e-12, atol=0.0)
 
 
 class TestMetrics:
