@@ -12,9 +12,9 @@ The randomized subcommands (certify, simulate, verify-identity and
 consistency) take ``--seed``, which defaults to the documented 1938. Only
 certify takes ``--threads`` (default 1, at least 1), and its results do not
 depend on the thread count; ``psd.certify_psd`` documents how it searches.
-A subcommand rejects an option it does not read. Every report records the
-resolved value of each option it takes, and ``stream_version``, the version
-of the seeded random streams that produced it.
+A subcommand rejects an option it does not read, such as decompose's
+``--t-max`` with a samples CSV. Every report records the resolved value of
+each option it read and ``stream_version``, the version of its random streams.
 """
 
 from __future__ import annotations
@@ -108,14 +108,19 @@ def cmd_certify(args) -> tuple[dict, bool, str]:
 
 def cmd_decompose(args) -> tuple[dict, bool, str]:
     _check_threshold("--residual-threshold", args.residual_threshold)
-    _check_positive("--t-max", args.t_max)
     _check_positive("--s-min", args.s_min)
     if not args.s_min < args.s_max < np.inf:
         raise ValueError(f"--s-max must be finite and > --s-min, got {args.s_max!r}")
     s_grid = np.logspace(np.log10(args.s_min), np.log10(args.s_max), args.s_points)
     if args.profile not in profiles.catalog_ids() and os.path.exists(args.profile):
+        if args.t_max is not None or args.t_points is not None:
+            raise ValueError("--t-max and --t-points do not apply to a samples CSV")
+        del args.t_max, args.t_points  # the report records only options read
         t, f = profiles.read_tf_csv(args.profile)
     else:
+        args.t_max = 4.0 if args.t_max is None else args.t_max
+        args.t_points = 41 if args.t_points is None else args.t_points
+        _check_positive("--t-max", args.t_max)
         t = np.linspace(0.0, args.t_max, args.t_points)
         f = profiles.resolve_profile(args.profile)(t)
     problem = recover.RecoveryProblem(t, f, s_grid, ridge=args.ridge)
@@ -248,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="recover the mixing measure from a profile")
     p.add_argument("profile", help="catalog profile id or samples CSV (header t,f)")
-    p.add_argument("--t-max", type=float, default=4.0)
-    p.add_argument("--t-points", type=int, default=41)
+    p.add_argument("--t-max", type=float, help="catalog profile only (default 4.0)")
+    p.add_argument("--t-points", type=int, help="catalog profile only (default 41)")
     p.add_argument("--s-min", type=float, default=1e-3)
     p.add_argument("--s-max", type=float, default=1e3)
     p.add_argument("--s-points", type=int, default=241)
@@ -315,8 +320,8 @@ def main(argv=None) -> int:
     try:
         if "threads" in args:
             args.threads = _resolve_threads(args)
+        results, passed, summary = args.fn(args)  # may resolve options in args
         config = {k: v for k, v in vars(args).items() if k not in ("command", "fn")}
-        results, passed, summary = args.fn(args)
         emit_report(args.command, config, results, passed, started)
         print(summary, file=sys.stderr)
         return EXIT_PASS if passed else EXIT_FAIL

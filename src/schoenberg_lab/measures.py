@@ -200,20 +200,19 @@ def levy_measure(scale: float = 1.0, atoms: int = 400) -> MixingMeasure:
 
 
 def resolve_measure(spec: str) -> MixingMeasure:
-    """Path to a measure JSON file, or a shorthand like ``delta:1``, ``exp:1``, ``levy:1``."""
+    """A shorthand like ``delta:1``, ``exp:1`` or ``levy:1``, else a measure JSON path."""
     from os.path import exists
 
-    if exists(spec):
-        return MixingMeasure.load(spec)
     name, _, arg = spec.partition(":")
-    value = float(arg) if arg else 1.0
     factories = {"delta": dirac, "exp": exponential_measure, "levy": levy_measure}
-    if name in factories:
-        return factories[name](value)
-    raise KeyError(
-        f"{spec!r} is neither a measure JSON path nor a shorthand "
-        "(delta:S, exp:RATE, levy:SCALE)"
-    )
+    try:  # a shorthand wins over a file of the same name
+        factory, value = factories[name], float(arg or 1.0)
+    except (KeyError, ValueError):
+        if exists(spec):
+            return MixingMeasure.load(spec)
+        raise KeyError(f"{spec!r} is neither a measure JSON path nor a shorthand "
+                       "(delta:S, exp:RATE, levy:SCALE)") from None
+    return factory(value)
 
 
 # --- marginal consistency -----------------------------------------------

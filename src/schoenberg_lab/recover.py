@@ -17,11 +17,12 @@ number of candidate scales. ``recover_mixing`` therefore solves on every 8th
 scale first, then on the scales within 8 grid points of that solution's
 atoms, and then checks the KKT conditions on the full grid: a scale left out
 whose objective gradient is negative beyond the solver's own accuracy joins
-the working set, and the solve repeats until no such scale is left. With
-ridge > 0 the objective is strictly convex, so the result is the full-grid
-optimum. With ridge 0 it attains the full-grid optimal objective, but the
-optimal weights need not be unique, so they can differ from those of a
-solve on the whole grid.
+the working set, and the solve repeats until no such scale is left. That
+check bounds the gradient of each scale left out by its tolerance (~1e-9),
+not the distance to the full-grid optimum: started on every 8th scale, the
+loop passes it at a fit RMS of 1.06e-9 where the full grid reaches 4.9e-14
+(exp-mixture, ridge 0). The accuracy comes from the windowed start, as the
+full-grid reference tests in ``tests/test_recover.py`` show.
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ PENALTY_FACTOR = 1e3
 PRUNE_THRESHOLD = 1e-12
 COARSE_STRIDE = 8  # the first solve runs on every 8th scale
 WINDOW = 8  # the second on the scales within 8 grid points of its atoms
-
-
-def default_t_grid() -> np.ndarray:
-    """41 equispaced points on [0, 4]."""
-    return np.linspace(0.0, 4.0, 41)
 
 
 def default_s_grid() -> np.ndarray:
@@ -92,24 +88,16 @@ class RecoveryResult:
     columns_solved: int  # scales in the final solve's working set
 
 
-def nnls(A, b, ridge: float = 0.0, maxiter: int | None = None) -> tuple[np.ndarray, float]:
-    """Solve min ||Aw - b||^2 + ridge ||w||^2 subject to w >= 0.
+def nnls(A, b, maxiter: int | None = None) -> tuple[np.ndarray, float]:
+    """Solve min ||Aw - b|| subject to w >= 0.
 
-    The ridge enters as sqrt(ridge) * I rows stacked under A. Returns
-    scipy.optimize.nnls's (w, rnorm) on the stacked problem; scipy raises
-    RuntimeError after ``maxiter`` iterations (default 3 * A's columns).
+    Returns scipy.optimize.nnls's (w, rnorm); scipy raises RuntimeError
+    after ``maxiter`` iterations (default 3 * A's columns).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != len(b):
         raise ValueError(f"shape mismatch: A is {A.shape}, b has length {len(b)}")
-    if ridge > 0:
-        m, n = A.shape
-        stacked = np.zeros((m + n, n))
-        stacked[:m] = A
-        np.fill_diagonal(stacked[m:], np.sqrt(ridge))
-        A = stacked
-        b = np.concatenate([b, np.zeros(n)])
     import scipy.optimize  # deferred: slow to import
 
     return scipy.optimize.nnls(A, b, maxiter=maxiter)
@@ -128,11 +116,8 @@ def recover_mixing(problem: RecoveryProblem) -> RecoveryResult:
     raw solution was from unit mass.
     """
     n = len(problem.s_grid)
-    if n <= WINDOW + 1:  # a window around any scale covers this grid
-        working = np.arange(n)
-    else:
-        coarse = _solve_on(problem, np.arange(0, n, COARSE_STRIDE))
-        working = _windows(np.flatnonzero(coarse), n)
+    coarse = _solve_on(problem, np.arange(0, n, COARSE_STRIDE))
+    working = _windows(np.flatnonzero(coarse), n)
     w, working, violation, tolerance = _solve_to_kkt(problem, working)
 
     keep = w > PRUNE_THRESHOLD
@@ -152,18 +137,21 @@ def recover_mixing(problem: RecoveryProblem) -> RecoveryResult:
 def _solve_on(problem: RecoveryProblem, columns) -> np.ndarray:
     """The penalised problem solved on ``columns`` of the scale grid; zero weight elsewhere.
 
-    Only those columns of the design matrix are built; with the penalty row
-    under them they form the matrix handed to ``nnls``. Every solve gets the
-    iteration budget of a full-grid solve, 3 per grid scale: a coarse grid
-    can take Lawson-Hanson more iterations than its own 3 per column.
+    One matrix holds the system handed to ``nnls``: those columns of the
+    design matrix, the penalty row under them and, at ridge > 0 only,
+    sqrt(ridge) * I under that. Every solve gets the iteration budget of a full-grid solve, 3 per
+    grid scale: a coarse grid can take Lawson-Hanson more iterations than
+    its own 3 per column.
     """
-    m, n = len(problem.t_grid), len(problem.s_grid)
-    rows = np.empty((m + 1, len(columns)))
+    m, n, k = len(problem.t_grid), len(problem.s_grid), len(columns)
+    rows = np.zeros((m + 1 + (k if problem.ridge > 0 else 0), k))
     rows[:m] = design_matrix(problem.t_grid, problem.s_grid[columns])
     rows[m] = PENALTY_FACTOR
+    np.fill_diagonal(rows[m + 1:], np.sqrt(problem.ridge))
+    rhs = np.zeros(len(rows))
+    rhs[:m], rhs[m] = problem.f_values, PENALTY_FACTOR
     w = np.zeros(n)
-    w[columns], _ = nnls(rows, np.append(problem.f_values, PENALTY_FACTOR),
-                         ridge=problem.ridge, maxiter=3 * n)
+    w[columns], _ = nnls(rows, rhs, maxiter=3 * n)
     return w
 
 

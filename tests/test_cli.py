@@ -149,6 +149,29 @@ class TestDecompose:
         assert code_csv == code_id
         assert from_csv["results"] == from_id["results"]
 
+    def test_csv_takes_no_t_grid_options(self, capsys, tmp_path):
+        # a samples CSV brings its own t grid, so --t-max and --t-points are
+        # usage errors with it and its report does not record them
+        t = np.linspace(0.0, 2.0, 5)
+        path = tmp_path / "g.csv"
+        rows = zip(t.tolist(), np.exp(-t**2 / 2).tolist())
+        path.write_text("t,f\n" + "".join(f"{ti!r},{fi!r}\n" for ti, fi in rows))
+        for extra in (("--t-points", "500", "--t-max", "9"), ("--t-points", "41"),
+                      ("--t-max", "4")):
+            code, payload, err = run_cli(capsys, "decompose", str(path), *extra)
+            assert (code, payload) == (1, None), extra
+            assert "samples CSV" in err
+        code, payload, _ = run_cli(capsys, "decompose", str(path))
+        assert code == 0
+        assert payload["config"]["profile"] == str(path)
+        assert "t_max" not in payload["config"] and "t_points" not in payload["config"]
+        # a catalog profile records the t grid it was sampled on, given or not
+        reports = [run_cli(capsys, "decompose", "gaussian", *extra)[1]
+                   for extra in ((), ("--t-max", "4", "--t-points", "41"))]
+        for report in reports:
+            assert (report["config"]["t_max"], report["config"]["t_points"]) == (4.0, 41)
+        assert reports[0]["results"] == reports[1]["results"]
+
     def test_catalog_id_wins_over_a_file_of_that_name(self, capsys, tmp_path, monkeypatch):
         # decompose and cm-check resolve a profile id the same way: the
         # catalog first, so a t,f file named "gaussian" in the working
@@ -376,8 +399,8 @@ def test_console_entry_point_subprocess(tmp_path):
 
 
 def test_montecarlo_commands_load_no_scipy():
-    # scipy is imported only inside certify's Gram builds, decompose's NNLS and
-    # tabulated profiles, so the de Finetti/LLN checks start on numpy alone
+    # scipy is imported only inside decompose's NNLS and tabulated profiles,
+    # so the de Finetti/LLN checks start on numpy alone
     script = """
 import contextlib, io, json, sys
 from schoenberg_lab import catalog_profile, cli

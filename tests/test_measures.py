@@ -17,7 +17,13 @@ from schoenberg_lab import (
     marginal_consistency_check,
     mixture_laplace,
 )
-from schoenberg_lab.measures import KS_ALPHA, _sample, ks_critical_value, ks_two_sample
+from schoenberg_lab.measures import (
+    KS_ALPHA,
+    _sample,
+    ks_critical_value,
+    ks_two_sample,
+    resolve_measure,
+)
 from schoenberg_lab.rng import ROLE_NOISE, ROLE_SCALE, STREAM_VERSION, substream
 
 
@@ -74,6 +80,25 @@ class TestMixingMeasure:
         for value in (np.nan, np.inf, -1.0):
             with pytest.raises(ValueError, match="scale must be finite and >= 0"):
                 dirac(value)
+
+    def test_resolve_prefers_catalog(self, tmp_path, monkeypatch):
+        # a spec that parses as a shorthand is the catalog measure, even with
+        # a measure JSON file of that name in the working directory
+        monkeypatch.chdir(tmp_path)
+        decoy = dirac(5.0)
+        for spec, catalog in (("delta:1", dirac(1.0)), ("exp:2", exponential_measure(2.0)),
+                              ("levy", levy_measure(1.0))):
+            decoy.save(spec)
+            resolved = resolve_measure(spec)
+            assert resolved.label == catalog.label
+            np.testing.assert_array_equal(resolved.scales, catalog.scales)
+            np.testing.assert_array_equal(resolved.weights, catalog.weights)
+        # a name that is not a shorthand is a file path
+        for spec in ("delta:x", "nu.json"):
+            decoy.save(spec)
+            assert resolve_measure(spec).scales.tolist() == [5.0]
+        with pytest.raises(KeyError, match="neither a measure JSON path nor a shorthand"):
+            resolve_measure("no-such-measure")
 
     def test_discretization_labels_record_deficit(self):
         assert "tail-deficit" in exponential_measure().label

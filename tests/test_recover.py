@@ -1,8 +1,11 @@
 """Inverse problem: NNLS, measure recovery, and comparison metrics.
 
 ``nnls`` delegates to scipy.optimize.nnls, so the tests check what it adds
-(the ridge rows, the shape check) and the KKT conditions of its output;
-forward-model constructions provide the recovery truths.
+(the shape check) and the KKT conditions of its output. ``_solve_on``
+assembles the penalised system (design columns, penalty row, ridge rows)
+and must match scipy on explicitly stacked rows bit for bit; decompose's
+reports are matched against one scipy solve on the whole scale grid.
+Forward-model constructions provide the recovery truths.
 """
 
 import importlib.util
@@ -33,7 +36,7 @@ from schoenberg_lab import (
 )
 from schoenberg_lab import cli, recover
 from schoenberg_lab.profiles import catalog_ids, read_tf_csv
-from schoenberg_lab.recover import default_s_grid, default_t_grid
+from schoenberg_lab.recover import default_s_grid
 
 
 class TestDesignMatrix:
@@ -72,22 +75,6 @@ class TestNnls:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_matches_scipy_objective(self, seed):
-        # the ridge rows nnls appends match scipy on explicitly stacked rows
-        rng = np.random.default_rng(seed)
-        m, n = int(rng.integers(3, 12)), int(rng.integers(2, 10))
-        a = rng.standard_normal((m, n))
-        b = rng.standard_normal(m)
-        ridge = float(rng.choice([0.0, 10.0 ** rng.uniform(-8.0, 1.0)]))
-        ours, _ = nnls(a, b, ridge=ridge)
-        stacked = np.vstack([a, np.sqrt(ridge) * np.eye(n)])
-        theirs, rnorm = scipy.optimize.nnls(stacked, np.concatenate([b, np.zeros(n)]))
-        assert np.all(ours >= 0)
-        our_norm = np.sqrt(np.sum((a @ ours - b) ** 2) + ridge * np.sum(ours ** 2))
-        assert our_norm <= rnorm + 1e-8 * max(1.0, rnorm)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_complementary_slackness(self, seed):
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(3, 12)), int(rng.integers(2, 10))
@@ -99,7 +86,7 @@ class TestNnls:
             assert w[k] == 0.0 or abs(grad[k]) <= 1e-8
 
     def test_kkt_residual_contract(self):
-        t = default_t_grid()
+        t = np.linspace(0.0, 4.0, 41)
         s = default_s_grid()
         a = design_matrix(t, s)
         b = 1.0 / (1.0 + t**2 / 2.0)
@@ -108,14 +95,18 @@ class TestNnls:
         inactive_violation = np.where(w == 0, grad, np.abs(grad)).max()
         assert inactive_violation <= 1e-10 * np.linalg.norm(a.T @ b, np.inf)
 
-    def test_ridge_shrinks(self):
-        a = np.eye(2)
-        b = np.array([1.0, 1.0])
-        plain, _ = nnls(a, b)
-        shrunk, _ = nnls(a, b, ridge=1.0)
-        assert np.all(shrunk < plain)
-        # closed form: w = b / (1 + ridge)
-        np.testing.assert_allclose(shrunk, b / 2.0, atol=1e-10)
+    @pytest.mark.parametrize("ridge", [0.0, 1e-7, 1.0])
+    def test_solve_on_matches_scipy_on_stacked_rows(self, ridge):
+        # _solve_on assembles the penalty row, and the ridge rows only at
+        # ridge > 0; scipy on all rows stacked explicitly gives the same weights
+        t, s = np.linspace(0.0, 4.0, 41), default_s_grid()
+        f = catalog_profile("exp-mixture")(t)
+        columns = np.arange(0, len(s), 3)
+        ours = recover._solve_on(RecoveryProblem(t, f, s, ridge=ridge), columns)
+        theirs = np.zeros(len(s))
+        theirs[columns] = full_grid_nnls(design_matrix(t, s[columns]), f, ridge)
+        assert np.count_nonzero(ours) > 1
+        np.testing.assert_array_equal(ours, theirs)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -124,7 +115,7 @@ class TestNnls:
 
 class TestRecoverMixing:
     def test_gaussian_profile(self):
-        t = default_t_grid()
+        t = np.linspace(0.0, 4.0, 41)
         problem = RecoveryProblem(t, catalog_profile("gaussian")(t))
         result = recover_mixing(problem)
         assert result.residual_norm <= 1e-6
@@ -135,7 +126,7 @@ class TestRecoverMixing:
 
     def test_constant_profile_is_zero_scale_mixture(self):
         # needs scales near zero on the grid to fit a constant this tightly
-        t = default_t_grid()
+        t = np.linspace(0.0, 4.0, 41)
         s = np.logspace(-12.0, 0.0, 121)
         problem = RecoveryProblem(t, np.ones_like(t), s_grid=s)
         result = recover_mixing(problem)
@@ -144,13 +135,13 @@ class TestRecoverMixing:
         assert m.weights[m.scales <= 1e-6].sum() >= 0.999
 
     def test_triangle_profile_has_no_mixture_fit(self):
-        t = default_t_grid()
+        t = np.linspace(0.0, 4.0, 41)
         problem = RecoveryProblem(t, catalog_profile("triangle")(t))
         result = recover_mixing(problem)
         assert result.residual_norm > 0.01
 
     def test_reported_residual_is_self_consistent(self):
-        t = default_t_grid()
+        t = np.linspace(0.0, 4.0, 41)
         for pid, ridge in (("gaussian", 0.0), ("exp-mixture", 1e-7), ("triangle", 0.0),
                            ("exp-mixture", 0.0)):
             f = catalog_profile(pid)(t)
@@ -168,7 +159,7 @@ class TestRecoverMixing:
         (levy_measure(), "ks", 1e-7),
     ])
     def test_roundtrip_catalog_measures(self, measure, metric, ridge):
-        t = default_t_grid()
+        t = np.linspace(0.0, 4.0, 41)
         f = mixture_laplace(measure, t)
         result = recover_mixing(RecoveryProblem(t, f, ridge=ridge))
         dist = wasserstein1(result.measure, measure) if metric == "w1" \
@@ -178,7 +169,7 @@ class TestRecoverMixing:
     def test_scale_equivariance(self):
         # f(ct) corresponds to the push-forward s -> c^2 s; with c = 2 the
         # gaussian profile recovers (approximately) a point mass at 4
-        t = default_t_grid()
+        t = np.linspace(0.0, 4.0, 41)
         f = catalog_profile("gaussian")(2.0 * t)
         result = recover_mixing(RecoveryProblem(t, f))
         assert wasserstein1(result.measure, dirac(4.0)) <= 0.1
@@ -199,7 +190,7 @@ class TestRecoverMixing:
     def test_kkt_loop_finds_atoms_missing_from_its_start(self, pid, ridge):
         # started from every 8th scale minus the optimum's atoms, the loop
         # must pull those scales in until it reaches the full-grid objective
-        t, s = default_t_grid(), default_s_grid()
+        t, s = np.linspace(0.0, 4.0, 41), default_s_grid()
         f = catalog_profile(pid)(t)
         a = design_matrix(t, s)
         reference = full_grid_nnls(a, f, ridge)
@@ -249,7 +240,7 @@ OBJECTIVE_ATOL = 1e-18
 
 
 def full_grid_nnls(a, f, ridge):
-    """The reference: one scipy NNLS solve on every scale, rows stacked explicitly."""
+    """The reference: one scipy NNLS solve on every column of a, rows stacked explicitly."""
     n = a.shape[1]
     rows = np.vstack([a, PENALTY * np.ones((1, n)), np.sqrt(ridge) * np.eye(n)])
     w, _ = scipy.optimize.nnls(rows, np.concatenate([f, [PENALTY], np.zeros(n)]))
@@ -288,14 +279,15 @@ def decompose_with_reference(capsys, argv):
     reference, diagnostics).
     """
     args = cli.build_parser().parse_args(argv)
-    if args.profile in catalog_ids():
-        t = np.linspace(0.0, args.t_max, args.t_points)
+    cli.main(argv)
+    report = json.loads(capsys.readouterr().out)
+    config, results = report["config"], report["results"]
+    if args.profile in catalog_ids():  # sampled on the t grid the report records
+        t = np.linspace(0.0, config["t_max"], config["t_points"])
         f = catalog_profile(args.profile)(t)
     else:
         t, f = read_tf_csv(args.profile)
     s = np.logspace(np.log10(args.s_min), np.log10(args.s_max), args.s_points)
-    cli.main(argv)
-    results = json.loads(capsys.readouterr().out)["results"]
     scales = [atom["s"] for atom in results["measure"]["atoms"]]
     index = np.searchsorted(s, scales)
     np.testing.assert_array_equal(s[index], scales)
@@ -332,8 +324,8 @@ class TestFullGridReference:
 
     @pytest.mark.parametrize("points", [1, 2, 8, 9])
     def test_grid_inside_one_window_is_solved_once_whole(self, capsys, monkeypatch, points):
-        # a window around any scale covers a grid of at most 9 scales, so the
-        # coarse grid is the whole grid and no second solve follows
+        # a window around any coarse atom covers a grid of at most 9 scales,
+        # so the coarse solve is followed by one solve on the whole grid
         solved = []
         nnls = recover.nnls
 
@@ -344,7 +336,7 @@ class TestFullGridReference:
         monkeypatch.setattr(recover, "nnls", counted)
         argv = ["decompose", "exp-mixture", "--ridge", "1e-7", "--s-points", str(points)]
         _, _, _, ours, reference, diagnostics = decompose_with_reference(capsys, argv)
-        assert solved == [points]
+        assert solved == [len(range(0, points, recover.COARSE_STRIDE)), points]
         assert diagnostics["columns_solved"] == points
         assert diagnostics["kkt_violation"] <= diagnostics["kkt_tolerance"]
         np.testing.assert_allclose(ours, reference, rtol=1e-12, atol=0.0)
