@@ -18,6 +18,7 @@ from .profiles import RadialProfile
 from .rng import ROLE_TRIAL, parallel_map, substream
 
 SYMMETRY_RTOL = 1e-12
+_EPS = np.finfo(float).eps
 
 # Per-trial candidate kinds, cycled by trial index. Scaled lattices come
 # first: they are the configurations that expose compactly supported
@@ -37,8 +38,16 @@ _CHUNK = 64
 _BOX_HALFWIDTH = 3.0
 
 # Most chunks certify_psd solves at once; not part of the stream. Uncapped
-# doubling ran certify-sweep faster still but raised its peak RSS by 5.6%.
+# doubling runs certify-sweep faster still but holds larger stacks: it read
+# +5.6% peak RSS in a 20 s perfbench run, a figure that includes the reports
+# perfbench keeps of every pass, and with size-class stacks it adds 3 MB of
+# transient arrays (tracemalloc peak of ``certify gaussian --dim 5``).
 _BATCH_CAP = 4
+
+# certify_psd evaluates the configurations of a batch whose point counts k
+# share ceil(k / _SIZE_CLASS) as one stack, lattices and box draws apart;
+# not part of the stream.
+_SIZE_CLASS = 8
 
 
 @dataclass(frozen=True)
@@ -76,14 +85,21 @@ def _distances(points: np.ndarray) -> np.ndarray:
 
     Exactly symmetric with a zero diagonal: entry (j, i) sums the squares of
     the negated differences of entry (i, j), coordinate by coordinate in the
-    same order.
+    same order. An axis that is zero across the whole stack is skipped: it
+    would only add exact zeros. The squares are summed in place in the
+    returned array, with one more array of its size for the differences.
     """
-    sq = 0.0
-    for axis in range(points.shape[-1]):
-        x = points[..., axis]
-        diff = x[..., :, None] - x[..., None, :]
-        sq = sq + diff * diff
-    return np.sqrt(sq)
+    nonzero = points.reshape(-1, points.shape[-1]).any(axis=0)
+    coords = np.ascontiguousarray(points.transpose(-1, *range(points.ndim - 1))[nonzero])
+    sq = (np.empty if len(coords) else np.zeros)(points.shape[:-1] + points.shape[-2:-1])
+    diff = np.empty_like(sq) if len(coords) > 1 else None
+    for i, x in enumerate(coords):
+        term = diff if i else sq
+        np.subtract(x[..., :, None], x[..., None, :], out=term)
+        np.multiply(term, term, out=term)
+        if i:
+            np.add(sq, term, out=sq)
+    return np.sqrt(sq, out=sq)
 
 
 def gram_matrix(profile: RadialProfile, points) -> np.ndarray:
@@ -136,8 +152,8 @@ def _unit_lattice(shape: tuple[int, int], dim: int) -> np.ndarray:
     return pts
 
 
-def _screen(gram: np.ndarray, floor: float) -> np.ndarray:
-    """Mask of the (B, k, k) stack's Gram matrices whose computed lambda_min
+def _screen(gram: np.ndarray, floor: float, sizes=None) -> np.ndarray:
+    """Mask of the (B, K, K) stack's Gram matrices whose computed lambda_min
     provably exceeds ``floor``: those where Cholesky factors G - tau I, with
     tau = floor + 4k(k+1) eps s and s = ||G||_inf + |floor|.
 
@@ -147,50 +163,98 @@ def _screen(gram: np.ndarray, floor: float) -> np.ndarray:
     || |R^T| |R| ||_2 <= trace(R^T R) ~ k s; R^T R is PSD, so lambda_min(G)
     >= tau - (k(k+1)+1) u s. eigvalsh errs by ~k eps ||G||_2 <= k eps s. The
     margin is 3.2 (k = 1) to 8 times the sum of these first-order terms.
+
+    ``sizes`` gives each member's own k when a k x k matrix G is embedded as
+    [[G, 0], [0, D]], D diagonal with 0 < D <= ||G||_inf, so that s is G's
+    own (k = K when omitted). Only the leading k diagonal entries are
+    shifted, and the Cholesky factor is block diagonal too, exactly: every
+    inner product that forms an entry of its leading block adds exact zeros
+    to the <= k terms it has for G alone, so the bound above holds with the
+    member's own k. The shift is made in ``gram`` itself, whose diagonal is
+    restored on return.
     """
-    k = gram.shape[-1]
+    size = gram.shape[-1]
+    k = np.full(len(gram), size) if sizes is None else np.asarray(sizes)
     scale = np.abs(gram).sum(axis=-1).max(axis=-1) + abs(floor)
-    tau = floor + 4 * k * (k + 1) * np.finfo(float).eps * scale
-    shifted = gram - tau[:, None, None] * np.eye(k)
+    tau = floor + 4 * k * (k + 1) * _EPS * scale
+    rows = np.arange(size)
+    diagonal = gram[:, rows, rows]  # a copy, put back below
+    gram[:, rows, rows] = diagonal - tau[:, None] * (rows < k[:, None])
     try:  # a stacked cholesky raises if any member fails: then factor one by one
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(gram)
         return np.ones(len(gram), dtype=bool)
     except np.linalg.LinAlgError:
         factors = np.ones(len(gram), dtype=bool)
-    for i, a in enumerate(shifted):
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            factors[i] = False
-    return factors
+        for i, (a, n) in enumerate(zip(gram, k.tolist())):
+            try:
+                np.linalg.cholesky(a[:n, :n])
+            except np.linalg.LinAlgError:
+                factors[i] = False
+        return factors
+    finally:
+        gram[:, rows, rows] = diagonal
 
 
 def _solve_stack(profile: RadialProfile, f0: float, tol: float, floor: float,
-                 points: np.ndarray) -> list:
-    """(lambda_min, Gram if it refutes else None) for each configuration of a
-    (B, k, dim) stack, or None where it leaves a tabulated profile's domain;
-    (inf, None) where ``_screen`` passes it against a finite ``floor``."""
-    dist = _distances(points)
-    inside = [True] * len(points)
+                 configs: list) -> list:
+    """(lambda_min, Gram if it refutes else None) for each of a list of
+    (k, dim) configurations, or None where one leaves a tabulated profile's
+    domain; (inf, None) where ``_screen`` passes it against a finite
+    ``floor``.
+
+    The configurations are evaluated as one stack of K = max k points each,
+    a configuration padded by repeats of its first point; that moves no
+    coordinate range and no diameter. For the screen each Gram matrix G is
+    embedded as [[G, 0], [0, f0 I]]. Those that fail it are eigen-solved
+    unpadded, one stack per point count, so each lambda_min is what
+    eigen-solving G alone gives.
+    """
+    sizes = np.array([len(pts) for pts in configs])
+    rows = np.arange(sizes.max())
+    first = np.cumsum(sizes) - sizes
+    points = np.concatenate(configs).take(first[:, None] + rows * (rows < sizes[:, None]),
+                                          axis=0)
+    members = list(range(len(configs)))  # the configurations still in the stack
     if profile.t_max is not None:
-        inside = (dist.max(axis=(1, 2)) <= profile.t_max).tolist()
-        if not any(inside):
-            return [None] * len(points)
-        dist = dist[inside]
+        # A coordinate range r above t_max (1 + 4 eps) gives a computed
+        # distance >= r (1 - eps) > t_max (r^2 is a normal float for r above
+        # 1e-150), so those configurations leave the domain before any
+        # distance work; the rest stay by their computed diameter.
+        limit = max(profile.t_max * (1.0 + 4.0 * _EPS), 1e-150)
+        near = np.ptp(points, axis=1).max(axis=1) <= limit
+        dist = _distances(points[near])
+        fits = dist.max(axis=(1, 2), initial=0.0) <= profile.t_max
+        dist, sizes = dist[fits], sizes[near][fits]
+        members = np.flatnonzero(near)[fits].tolist()
+    else:
+        dist = _distances(points)
+    results = [None] * len(configs)
+    if not members:
+        return results
     gram = np.asarray(profile.fn(dist), dtype=float)
-    diagonal = np.arange(gram.shape[-1])
-    gram[:, diagonal, diagonal] = f0
-    lam_min = np.full(len(gram), np.inf)
-    refutes = np.zeros(len(gram), dtype=bool)
-    solve = ~_screen(gram, floor) if floor < np.inf else np.ones(len(gram), dtype=bool)
-    if solve.any():
-        eigvals = np.linalg.eigvalsh(gram[solve])
-        lam_min[solve] = eigvals[:, 0]
-        norm = np.maximum(np.abs(eigvals[:, 0]), np.abs(eigvals[:, -1]))
-        refutes[solve] = eigvals[:, 0] < -tol * np.maximum(1.0, norm)
-    solved = ((lam, g.copy() if bad else None)
-              for lam, bad, g in zip(lam_min.tolist(), refutes.tolist(), gram))
-    return [next(solved) if ok else None for ok in inside]
+    del dist
+    screened = floor < np.inf
+    if screened:  # zero the rows, then the columns, past each member's own k
+        pad = rows >= sizes[:, None]
+        gram[pad] = 0.0
+        gram.transpose(0, 2, 1)[pad] = 0.0
+    gram[:, rows, rows] = f0
+    solve = (~_screen(gram, floor, sizes)).tolist() if screened else [True] * len(gram)
+    sizes = sizes.tolist()
+    by_size = {}  # point count -> stack positions of the members to eigen-solve
+    for b, (k, unsure) in enumerate(zip(sizes, solve)):
+        if unsure:
+            by_size.setdefault(k, []).append(b)
+    lam_min, refutes = [np.inf] * len(gram), [False] * len(gram)
+    for k, group in by_size.items():
+        eigvals = np.linalg.eigvalsh(gram[group, :k, :k])
+        low, norm = eigvals[:, 0], np.maximum(np.abs(eigvals[:, 0]), np.abs(eigvals[:, -1]))
+        bad = low < -tol * np.maximum(1.0, norm)
+        for b, lam, r in zip(group, low.tolist(), bad.tolist()):
+            lam_min[b], refutes[b] = lam, r
+    for b, (i, k) in enumerate(zip(members, sizes)):
+        results[i] = lam_min[b], gram[b, :k, :k].copy() if refutes[b] else None
+    return results
 
 
 def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
@@ -208,11 +272,15 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     Trials come in chunks of 64. Chunk c draws the point counts, spans and
     box points of all its trials as arrays from one substream keyed by
     (seed, c). The search draws chunks in batches of 1, 2, 4, 4, ... as far
-    as it goes, and groups a batch's unsolved configurations by point count;
-    ``threads`` spreads the groups over worker threads. From the second batch
-    on, a Gram matrix is eigen-solved only when ``_screen`` cannot place it
-    above max(minimum of the earlier batches, -tol), where it could neither
-    refute nor hold the minimum. Results are identical for any ``threads``.
+    as it goes, and puts a batch's unsolved configurations into stacks keyed
+    by lattice or box draw and by size class ceil(k / 8); ``threads``
+    spreads the stacks over worker threads. Each stack takes one distance,
+    one profile and one Cholesky evaluation (``_solve_stack``). From the
+    second batch on, a Gram matrix is eigen-solved only when ``_screen``
+    cannot place it above max(minimum of the earlier batches, -tol), where
+    it could neither refute nor hold the minimum; it is then solved
+    unpadded, so every lambda_min is what solving its matrix alone gives.
+    Results are identical for any ``threads``.
 
     Fixed-span lattices depend on the point count alone; each is evaluated
     once per call and its outcome reused. ``configurations_solved`` counts
@@ -255,7 +323,7 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     while first < n_chunks and refutation is None:
         floor = max(global_min, -tol)  # set before any worker runs; inf in the first batch
         configs = []  # (trial index, key, points) per trial, in trial order
-        groups = {}  # point count -> {key: points} of the unsolved configurations
+        groups = {}  # (box?, size class) -> {key: points} of the unsolved configurations
         for chunk in range(first, min(first + size, n_chunks)):
             start = chunk * _CHUNK
             n = min(_CHUNK, trials - start)
@@ -281,12 +349,12 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
                         key, pts = shape, fixed[shape]
                 configs.append((start + j, key, pts))
                 if key not in outcome:
-                    groups.setdefault(len(pts), {})[key] = pts
+                    stack = kind == _KIND_RANDOM_BOX, -(-len(pts) // _SIZE_CLASS)
+                    groups.setdefault(stack, {})[key] = pts
         first, size = first + size, min(2 * size, _BATCH_CAP)
         groups = list(groups.values())
         solved = parallel_map(
-            lambda g: _solve_stack(profile, f0, tol, floor,
-                                   np.stack(list(groups[g].values()))),
+            lambda g: _solve_stack(profile, f0, tol, floor, list(groups[g].values())),
             len(groups), threads)
         for group, results in zip(groups, solved):
             outcome.update(zip(group, results))

@@ -43,20 +43,22 @@ class TestCertify:
                                                        - results["trials_skipped"])
         assert 0 < results["eigensolves"] <= results["configurations_solved"]
 
-    @pytest.mark.parametrize("argv, verdict, min_eigenvalue, run, skipped, solved, form", [
-        ("gaussian --dim 5", "certified", -5.1521541309533e-15, 2000, 0, 1082, None),
-        ("exp-mixture --dim 3", "certified", -1.556329347823286e-15, 2000, 0, 1082, None),
-        ("cauchy --dim 2", "certified", 0.007682396812971664, 2000, 0, 1082, None),
-        ("gaussian --dim 8 --kmax 12 --trials 1000", "certified", 2.2174448873699824e-09,
-         1000, 0, 516, None),
-        ("exp-mixture --dim 1 --kmax 12 --trials 1000", "certified", -1.8822096729591637e-17,
-         1000, 0, 511, None),
-        ("triangle --dim 2", "refuted", -0.0398176996429786, 13, 0, 12,
-         -0.039817699642978543),
-        ("TABLE --dim 2", "inconclusive", 0.031607373466350154, 2000, 1977, 23, None),
-    ])
+    @pytest.mark.parametrize(
+        "argv, verdict, min_eigenvalue, run, skipped, solved, form, eigensolves", [
+            ("gaussian --dim 5", "certified", -5.1521541309533e-15, 2000, 0, 1082, None, 181),
+            ("exp-mixture --dim 3", "certified", -1.556329347823286e-15, 2000, 0, 1082, None,
+             95),
+            ("cauchy --dim 2", "certified", 0.007682396812971664, 2000, 0, 1082, None, 55),
+            ("gaussian --dim 8 --kmax 12 --trials 1000", "certified", 2.2174448873699824e-09,
+             1000, 0, 516, None, 49),
+            ("exp-mixture --dim 1 --kmax 12 --trials 1000", "certified",
+             -1.8822096729591637e-17, 1000, 0, 511, None, 48),
+            ("triangle --dim 2", "refuted", -0.0398176996429786, 13, 0, 12,
+             -0.039817699642978543, 12),
+            ("TABLE --dim 2", "inconclusive", 0.031607373466350154, 2000, 1977, 23, None, 6),
+        ])
     def test_sweep_reports_are_pinned(self, capsys, tmp_path, argv, verdict, min_eigenvalue,
-                                      run, skipped, solved, form):
+                                      run, skipped, solved, form, eigensolves):
         # the benchmark's seven certify cases at seed 1938, pinned exactly:
         # the Cholesky screen may skip eigensolves but must not move a result,
         # and any change to the draws must come with a STREAM_VERSION bump;
@@ -74,6 +76,9 @@ class TestCertify:
         assert results["trials_skipped"] == skipped
         assert results["configurations_solved"] == solved
         assert results.get("witness", {}).get("quadratic_form") == form
+        # which matrices the screen passes: a screen that decides one
+        # differently moves this count even when no result moves
+        assert results["eigensolves"] == eigensolves
 
     def test_triangle_dim2_refuted_with_witness(self, capsys):
         code, payload, _ = run_cli(capsys, "certify", "triangle", "--dim", "2",
@@ -355,9 +360,21 @@ class TestSeedPolicy:
         assert payload["config"]["threads"] == 2
 
 
+# 600 trials are 10 chunks: batches of 1, 2, 4 and 3 chunks, so the
+# Cholesky screen runs on three of them
+CERTIFY_SCREENED = ("certify", "gaussian", "--dim", "5", "--trials", "600", "--seed", "42")
+
+
+def comparable_payload(payload) -> str:
+    payload["config"].pop("threads", None)
+    return json.dumps({"config": payload["config"], "results": payload["results"],
+                       "pass": payload["pass"]}, sort_keys=True)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("certify", "triangle", "--dim", "2", "--trials", "200", "--seed", "42"),
+        CERTIFY_SCREENED,
         ("simulate", "exp:1", "--n", "200", "--reps", "500", "--seed", "42"),
         ("consistency", "delta:1", "--dim", "2", "--count", "2000", "--seed", "42"),
         ("verify-identity", "gaussian", "delta:1", "--t", "1", "--n", "100",
@@ -369,19 +386,19 @@ class TestDeterminism:
             variants = [("--threads", "1"), ("--threads", "4")]
         else:
             variants = [(), ()]
-        results = []
-        for extra in variants:
-            _, payload, _ = run_cli(capsys, *argv, *extra)
-            payload["config"].pop("threads", None)
-            results.append(json.dumps({"config": payload["config"],
-                                       "results": payload["results"],
-                                       "pass": payload["pass"]}, sort_keys=True))
+        results = [comparable_payload(run_cli(capsys, *argv, *extra)[1])
+                   for extra in variants]
         assert results[0] == results[1]
 
     def test_rerun_identical(self, capsys):
         runs = [run_cli(capsys, "simulate", "levy:1", "--n", "100", "--reps", "300",
                         "--seed", "7")[1]["results"] for _ in range(2)]
         assert json.dumps(runs[0]) == json.dumps(runs[1])
+
+    def test_certify_rerun_identical(self, capsys):
+        # the same call twice in one process: nothing carries over between calls
+        runs = [comparable_payload(run_cli(capsys, *CERTIFY_SCREENED)[1]) for _ in range(2)]
+        assert runs[0] == runs[1]
 
 
 def test_console_entry_point_subprocess(tmp_path):

@@ -173,15 +173,40 @@ def test_rayleigh_bound(seed):
     assert min_eigenvalue(g) <= rayleigh + 1e-10 * max(1.0, np.abs(g).max())
 
 
-def check_screen(gram, floor, tol=1e-8):
+def check_screen(gram, floor, rng, tol=1e-8):
     """Whatever the Cholesky screen passes must have a computed lambda_min
-    above ``floor``, and so must neither refute nor become the minimum."""
+    above ``floor``, and so must neither refute nor become the minimum.
+    The screen must say the same of ``gram`` embedded in a padded stack."""
     passed = bool(psd._screen(gram[None], floor)[0])
     vals = np.linalg.eigvalsh(gram)
     if passed:
         assert vals[0] > floor
         assert vals[0] >= -tol * max(1.0, abs(vals[0]), abs(vals[-1]))
+    assert screen_embedded(gram, floor, rng) == passed
     return passed, vals[0]
+
+
+def screen_embedded(gram, floor, rng):
+    """The screen's verdict on ``gram`` as one member of a stack of a larger
+    K, beside two members of other sizes whose lambda_min is floor + 0.5 or
+    more; each k x k member G is embedded as [[G, 0], [0, ||G||_inf I]]."""
+    k = len(gram)
+    size = k + int(rng.integers(1, 9))
+    members = [gram]
+    for n in (max(1, k // 2), size):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        other = (q * (floor + rng.uniform(0.5, 2.0, size=n))) @ q.T
+        members.append((other + other.T) / 2)
+    order = rng.permutation(len(members))
+    stack = np.zeros((len(members), size, size))
+    for b, i in enumerate(order):
+        n = len(members[i])
+        stack[b, range(n, size), range(n, size)] = np.abs(members[i]).sum(axis=1).max()
+        stack[b, :n, :n] = members[i]
+    before = stack.copy()
+    passed = psd._screen(stack, floor, [len(members[i]) for i in order])
+    np.testing.assert_array_equal(stack, before)  # the shifted diagonal is put back
+    return bool(passed[int(np.flatnonzero(order == 0)[0])])
 
 
 # Distance of the planted lambda_min from the screen's floor. 0 and 1e-15 sit
@@ -204,7 +229,7 @@ def test_screen_is_sound_on_catalog_grams(pid, lattice, k, dim, span, offset, be
         pts = np.random.default_rng(seed).uniform(-span, span, size=(k, dim))
     gram = gram_matrix(catalog_profile(pid), pts)
     floor = max(np.linalg.eigvalsh(gram)[0] + (-offset if below else offset), -1e-8)
-    passed, lam = check_screen(gram, floor)
+    passed, lam = check_screen(gram, floor, np.random.default_rng(seed))
     if lam > floor + 1e-6:  # far above the margin: the screen must not be vacuous
         assert passed
 
@@ -223,8 +248,44 @@ def test_screen_is_sound_on_planted_spectra(k, floor, offset, below, spread, see
         gram = (q * lam) @ q.T
         return (gram + gram.T) / 2
 
-    check_screen(planted(-offset if below else offset), floor)
-    assert check_screen(planted(1e-6), floor)[0]
+    check_screen(planted(-offset if below else offset), floor, rng)
+    assert check_screen(planted(1e-6), floor, rng)[0]
+
+
+@pytest.mark.parametrize("t_max", [0.7, 1.0, 3.3])
+def test_prefilter_keeps_what_the_diameter_test_keeps(monkeypatch, t_max):
+    # Coordinate ranges from 6 ulps below t_max to past the prefilter's
+    # limit t_max (1 + 4 eps), on one axis, or with a second-axis offset
+    # that lifts the diameter a few ulps above the range. A configuration is
+    # skipped exactly when its computed diameter exceeds t_max, and only
+    # those past the limit skip the distance work.
+    t = np.linspace(0.0, t_max, 11)
+    profile = tabulated_profile(t, 1.0 - 0.5 * t / t_max)
+    ranges = [t_max]
+    for _ in range(16):
+        ranges.append(float(np.nextafter(ranges[-1], np.inf)))
+    for _ in range(6):
+        ranges.insert(0, float(np.nextafter(ranges[0], 0.0)))
+    configs = []
+    for r in ranges:
+        configs.append(np.array([[0.0, 0.0, 0.0], [r, 0.0, 0.0]]))
+        configs.append(np.array([[0.0, 0.0, 0.0], [0.5 * r, 0.0, 0.0], [r, 3e-8, 0.0]]))
+    distanced = []
+    distances = psd._distances
+
+    def recording(points):
+        distanced.append(len(points))
+        return distances(points)
+
+    monkeypatch.setattr(psd, "_distances", recording)
+    results = psd._solve_stack(profile, 1.0, 1e-8, np.inf, configs)
+    diameters = [distances(pts).max() for pts in configs]
+    assert [r is None for r in results] == [d > t_max for d in diameters]
+    limit = t_max * (1 + 4 * np.finfo(float).eps)
+    assert distanced == [sum(np.ptp(pts, axis=0).max() <= limit for pts in configs)]
+    skipped = sum(r is None for r in results)
+    assert 0 < skipped < len(configs)
+    assert distanced[0] > len(configs) - skipped  # some were skipped by their diameter
 
 
 class TestCertify:
@@ -398,8 +459,8 @@ class TestCertify:
         screened = []
         screen = psd._screen
 
-        def counting_screen(gram, floor):
-            passed = screen(gram, floor)
+        def counting_screen(gram, floor, sizes=None):
+            passed = screen(gram, floor, sizes)
             screened.append(int(passed.sum()))
             return passed
 
