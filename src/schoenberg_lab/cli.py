@@ -84,7 +84,7 @@ def cmd_certify(args) -> tuple[dict, bool, str]:
     profile = profiles.resolve_profile(args.profile)
     report = psd.certify_psd(profile, dim=args.dim, trials=args.trials,
                              k_max=args.kmax, tol=args.tol, seed=args.seed,
-                             threads=args.threads)
+                             threads=_resolve_threads(args))
     results = {
         "verdict": report.verdict,
         "min_eigenvalue": report.min_eigenvalue,
@@ -146,16 +146,15 @@ def cmd_decompose(args) -> tuple[dict, bool, str]:
 
 def cmd_simulate(args) -> tuple[dict, bool, str]:
     _check_threshold("--max-dist", args.max_dist)
+    if args.bins < 1:
+        raise ValueError(f"--bins must be >= 1, got {args.bins}")
     measure = measures.resolve_measure(args.measure)
     empirical = definetti.estimate_mixing(measure, n=args.n, reps=args.reps,
                                           seed=args.seed)
-    # bin before writing: a bad --bins is a usage error and leaves no --out file
-    binned = (empirical.to_measure(bins=args.bins, label="binned-empirical")
-              if args.out_measure else None)
     if args.out:
         empirical.to_csv(args.out)
-    if binned is not None:
-        binned.save(args.out_measure)
+    if args.out_measure:
+        empirical.to_measure(bins=args.bins, label="binned-empirical").save(args.out_measure)
     w1 = recover.wasserstein1(empirical, measure)
     ks = recover.ks_distance(empirical, measure)
     metric_value = w1 if args.metric == "w1" else ks
@@ -318,8 +317,6 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     started = time.monotonic()
     try:
-        if "threads" in args:
-            args.threads = _resolve_threads(args)
         results, passed, summary = args.fn(args)  # may resolve options in args
         config = {k: v for k, v in vars(args).items() if k not in ("command", "fn")}
         emit_report(args.command, config, results, passed, started)

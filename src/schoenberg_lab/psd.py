@@ -29,8 +29,8 @@ _KIND_RANDOM_BOX = 2
 _KIND_LATTICE_1D = 3
 _N_KINDS = 4
 
-# Trials per substream. Part of the stream definition (rng.STREAM_VERSION 3),
-# not a tuning knob: changing it changes every seeded configuration.
+# Trials per substream. Part of the stream definition since rng.STREAM_VERSION
+# 3, not a tuning knob: changing it changes every seeded configuration.
 _CHUNK = 64
 
 # Half-width L of the random-box trials' box [-L, L]^dim; fixed-span lattices
@@ -58,7 +58,7 @@ class PsdReport:
     is "refuted", else the evaluated one with the smallest eigenvalue.
     ``witness`` is a (coefficients, quadratic_form_value) pair, present
     exactly when the verdict is "refuted"; the coefficients are a unit
-    eigenvector of the offending Gram matrix.
+    eigenvector of ``gram_matrix(profile, points)``.
     """
 
     points: np.ndarray
@@ -152,7 +152,7 @@ def _unit_lattice(shape: tuple[int, int], dim: int) -> np.ndarray:
     return pts
 
 
-def _screen(gram: np.ndarray, floor: float, sizes=None) -> np.ndarray:
+def _screen(gram: np.ndarray, floor: float, sizes) -> np.ndarray:
     """Mask of the (B, K, K) stack's Gram matrices whose computed lambda_min
     provably exceeds ``floor``: those where Cholesky factors G - tau I, with
     tau = floor + 4k(k+1) eps s and s = ||G||_inf + |floor|.
@@ -166,48 +166,43 @@ def _screen(gram: np.ndarray, floor: float, sizes=None) -> np.ndarray:
 
     ``sizes`` gives each member's own k when a k x k matrix G is embedded as
     [[G, 0], [0, D]], D diagonal with 0 < D <= ||G||_inf, so that s is G's
-    own (k = K when omitted). Only the leading k diagonal entries are
-    shifted, and the Cholesky factor is block diagonal too, exactly: every
-    inner product that forms an entry of its leading block adds exact zeros
-    to the <= k terms it has for G alone, so the bound above holds with the
-    member's own k. The shift is made in ``gram`` itself, whose diagonal is
-    restored on return.
+    own. Only the leading k diagonal entries are shifted, and the Cholesky
+    factor is block diagonal too, exactly: every inner product that forms an
+    entry of its leading block adds exact zeros to the <= k terms it has for
+    G alone, so the bound above holds with the member's own k. The shift is
+    made in a copy; ``gram`` is left as it is. The bound ignores underflow,
+    so a member with eps s below the smallest normal float never passes.
     """
-    size = gram.shape[-1]
-    k = np.full(len(gram), size) if sizes is None else np.asarray(sizes)
+    k = np.asarray(sizes)
     scale = np.abs(gram).sum(axis=-1).max(axis=-1) + abs(floor)
     tau = floor + 4 * k * (k + 1) * _EPS * scale
-    rows = np.arange(size)
-    diagonal = gram[:, rows, rows]  # a copy, put back below
-    gram[:, rows, rows] = diagonal - tau[:, None] * (rows < k[:, None])
+    rows = np.arange(gram.shape[-1])
+    shifted = gram.copy()
+    shifted[:, rows, rows] -= tau[:, None] * (rows < k[:, None])
+    passes = _EPS * scale >= np.finfo(float).tiny
     try:  # a stacked cholesky raises if any member fails: then factor one by one
-        np.linalg.cholesky(gram)
-        return np.ones(len(gram), dtype=bool)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        factors = np.ones(len(gram), dtype=bool)
-        for i, (a, n) in enumerate(zip(gram, k.tolist())):
+        for i, (a, n) in enumerate(zip(shifted, k.tolist())):
             try:
                 np.linalg.cholesky(a[:n, :n])
             except np.linalg.LinAlgError:
-                factors[i] = False
-        return factors
-    finally:
-        gram[:, rows, rows] = diagonal
+                passes[i] = False
+    return passes
 
 
 def _solve_stack(profile: RadialProfile, f0: float, tol: float, floor: float,
                  configs: list) -> list:
-    """(lambda_min, Gram if it refutes else None) for each of a list of
-    (k, dim) configurations, or None where one leaves a tabulated profile's
-    domain; (inf, None) where ``_screen`` passes it against a finite
-    ``floor``.
+    """(lambda_min, refutes) for each of a list of (k, dim) configurations,
+    or None where one leaves a tabulated profile's domain; (inf, False)
+    where ``_screen`` passes it against a finite ``floor``.
 
     The configurations are evaluated as one stack of K = max k points each,
     a configuration padded by repeats of its first point; that moves no
-    coordinate range and no diameter. For the screen each Gram matrix G is
-    embedded as [[G, 0], [0, f0 I]]. Those that fail it are eigen-solved
-    unpadded, one stack per point count, so each lambda_min is what
-    eigen-solving G alone gives.
+    coordinate range and no diameter. Each Gram matrix G is embedded as
+    [[G, 0], [0, f0 I]]. Those that the screen does not pass are
+    eigen-solved unpadded, one stack per point count, so each lambda_min is
+    what eigen-solving G alone gives.
     """
     sizes = np.array([len(pts) for pts in configs])
     rows = np.arange(sizes.max())
@@ -233,13 +228,11 @@ def _solve_stack(profile: RadialProfile, f0: float, tol: float, floor: float,
         return results
     gram = np.asarray(profile.fn(dist), dtype=float)
     del dist
-    screened = floor < np.inf
-    if screened:  # zero the rows, then the columns, past each member's own k
-        pad = rows >= sizes[:, None]
-        gram[pad] = 0.0
-        gram.transpose(0, 2, 1)[pad] = 0.0
+    pad = rows >= sizes[:, None]  # zero the rows, then the columns, past each own k
+    gram[pad] = 0.0
+    gram.transpose(0, 2, 1)[pad] = 0.0
     gram[:, rows, rows] = f0
-    solve = (~_screen(gram, floor, sizes)).tolist() if screened else [True] * len(gram)
+    solve = (~_screen(gram, floor, sizes)).tolist() if floor < np.inf else [True] * len(gram)
     sizes = sizes.tolist()
     by_size = {}  # point count -> stack positions of the members to eigen-solve
     for b, (k, unsure) in enumerate(zip(sizes, solve)):
@@ -252,8 +245,8 @@ def _solve_stack(profile: RadialProfile, f0: float, tol: float, floor: float,
         bad = low < -tol * np.maximum(1.0, norm)
         for b, lam, r in zip(group, low.tolist(), bad.tolist()):
             lam_min[b], refutes[b] = lam, r
-    for b, (i, k) in enumerate(zip(members, sizes)):
-        results[i] = lam_min[b], gram[b, :k, :k].copy() if refutes[b] else None
+    for i, lam, r in zip(members, lam_min, refutes):
+        results[i] = lam, r
     return results
 
 
@@ -317,7 +310,7 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     global_min_pts = None
     skipped = 0
     counted = set()  # configuration keys evaluated so far
-    refutation = None  # (trials run, points, Gram) of the refuting trial
+    refutation = None  # (trials run, points) of the refuting trial
     n_chunks = -(-trials // _CHUNK)
     first, size = 0, 1
     while first < n_chunks and refutation is None:
@@ -365,17 +358,18 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
                 skipped += 1
                 continue
             counted.add(key)
-            lam_min, gram = result
+            lam_min, refutes = result
             if lam_min < global_min:
                 global_min, global_min_pts = lam_min, pts
-            if gram is not None:
-                refutation = trial + 1, pts, gram
+            if refutes:
+                refutation = trial + 1, pts
                 break
 
     verdict = "certified" if profile.t_max is None else "inconclusive"
     trials_run, points, witness = trials, global_min_pts, None
     if refutation is not None:
-        trials_run, points, gram = refutation
+        trials_run, points = refutation
+        gram = gram_matrix(profile, points)
         coefficients = np.linalg.eigh(gram)[1][:, 0]
         verdict, witness = "refuted", (coefficients, quadratic_form(gram, coefficients))
     elif skipped == trials:  # no trial was evaluated

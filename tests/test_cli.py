@@ -511,6 +511,7 @@ def test_exit_codes_stay_in_contract(capsys, tmp_path):
         *[("decompose", "gaussian", "--s-min", v) for v in ("0", "-1")],
         (*simulate, "--bins", "0", "--out", str(tmp_path / "L.csv"),
          "--out-measure", str(tmp_path / "measure.json")),
+        (*simulate, "--bins", "0", "--seed", "1"),
         *[("simulate", spec) for spec in ("exp:nan", "exp:inf", "levy:inf", "delta:inf")],
         ("cm-check", "gaussian", "--u-max", "1e6", "--u-step", "1e-7"),  # MemoryError
         *[("cm-check", "gaussian", "--max-order", v) for v in ("52", "1100")],

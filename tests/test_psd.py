@@ -8,7 +8,7 @@ refutation witnesses.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -177,7 +177,7 @@ def check_screen(gram, floor, rng, tol=1e-8):
     """Whatever the Cholesky screen passes must have a computed lambda_min
     above ``floor``, and so must neither refute nor become the minimum.
     The screen must say the same of ``gram`` embedded in a padded stack."""
-    passed = bool(psd._screen(gram[None], floor)[0])
+    passed = bool(psd._screen(gram[None], floor, [len(gram)])[0])
     vals = np.linalg.eigvalsh(gram)
     if passed:
         assert vals[0] > floor
@@ -237,6 +237,8 @@ def test_screen_is_sound_on_catalog_grams(pid, lattice, k, dim, span, offset, be
 @settings(max_examples=150, deadline=None)
 @given(k=st.integers(2, 64), floor=st.floats(-1e-8, 1e-2), offset=OFFSETS,
        below=st.booleans(), spread=st.floats(0.0, 4.0), seed=st.integers(0, 2**31 - 1))
+# subnormal entries, where tau underflows to 0 and Cholesky completes at lambda_min = floor
+@example(k=2, floor=0.0, offset=0.0, below=False, spread=2.225073858507e-311, seed=3)
 def test_screen_is_sound_on_planted_spectra(k, floor, offset, below, spread, seed):
     # Q diag(lambda) Q^T with lambda_min planted at floor or 1e-13 to 1e-9 from it
     rng = np.random.default_rng(seed)
@@ -317,7 +319,7 @@ class TestCertify:
         assert value < -1e-6
         # independent confirmation of the witness through the public API
         g = gram_matrix(tri, report.points)
-        assert quadratic_form(g, coeffs) == pytest.approx(value, rel=1e-9)
+        assert quadratic_form(g, coeffs) == value
         assert abs(np.linalg.norm(coeffs) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("dim", [1, 3, 8])
@@ -440,6 +442,8 @@ class TestCertify:
         assert report.refuted
         assert report.trials_run == index + 1
         np.testing.assert_array_equal(report.points, configs[index])
+        witness = np.linalg.eigh(gram_matrix(tri, configs[index]))[1][:, 0]
+        assert report.witness[0].tobytes() == witness.tobytes()
         distinct = {(p.shape, p.tobytes()) for p in configs[:index + 1]}
         assert report.configurations_solved == len(distinct)
 
