@@ -55,8 +55,8 @@ def emit_report(command: str, config: dict, results: dict, passed: bool | None,
         "pass": passed,
         "wall_time_ms": int((time.monotonic() - started) * 1000),
     }
-    json.dump(report, sys.stdout, default=_numpy_to_json)
-    sys.stdout.write("\n")
+    # json.dumps encodes in C; json.dump would take the pure-Python encoder
+    sys.stdout.write(json.dumps(report, default=_numpy_to_json) + "\n")
 
 
 def _resolve_threads(args) -> int:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .profiles import RadialProfile
 from .rng import ROLE_TRIAL, parallel_map, substream
@@ -131,25 +132,36 @@ def min_eigenvalue(gram: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(gram)[0])
 
 
-def _lattice_shape(kind: int, dim: int, k: int) -> tuple[int, int]:
-    """(m1, m2) of the lattice a trial tests: m2 points along axis 0 times m1
-    along axis 1. An axis lattice has m1 = 1; a planar grid has
-    m1 = floor(sqrt(k)) and m2 = k // m1 >= m1, so at most k points."""
-    if kind == _KIND_LATTICE_1D or dim == 1 or k < 4:
-        return 1, k
-    m1 = math.isqrt(k)
-    return m1, k // m1
+def _lattice_table(dim: int, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit lattices of 2 to k_max points in R^dim, as (table, row, size).
 
-
-def _unit_lattice(shape: tuple[int, int], dim: int) -> np.ndarray:
-    """Equally spaced lattice in R^dim whose longer side spans [0, 1]."""
-    m1, m2 = shape
-    h = 1.0 / (m2 - 1)
-    pts = np.zeros((m1 * m2, dim))
-    pts[:, 0] = np.repeat(np.arange(m2) * h, m1)
-    if m1 > 1:
-        pts[:, 1] = np.tile(np.arange(m1) * h, m2)
-    return pts
+    ``table[i]`` holds the ``size[i]`` points of one shape, m2 points along
+    axis 0 times m1 along axis 1 with the longer side spanning [0, 1],
+    padded to k_max points by its first point, the origin. A trial of k
+    points tests row ``row[0, k - 2]``, the axis lattice (m1 = 1, m2 = k), or
+    ``row[1, k - 2]``, the planar grid m1 = floor(sqrt(k)), m2 = k // m1 >= m1
+    (the axis lattice when dim = 1 or k < 4). Each shape has one row.
+    """
+    ks = np.arange(2, k_max + 1)
+    m1 = np.array([math.isqrt(k) if dim > 1 and k >= 4 else 1 for k in ks.tolist()])
+    m2 = ks // m1
+    # (m1, m2) never decreases as k grows, so equal planar shapes are
+    # adjacent: number each new one after the axis rows.
+    grid = m1 > 1
+    fresh = grid & np.r_[True, (m1[1:] != m1[:-1]) | (m2[1:] != m2[:-1])]
+    row = np.stack([ks - 2, np.where(grid, len(ks) - 1 + np.cumsum(fresh), ks - 2)])
+    m1 = np.r_[np.ones_like(ks), m1[fresh]]
+    m2 = np.r_[ks, m2[fresh]]
+    size = m1 * m2
+    slot = np.arange(k_max)
+    along, across = np.divmod(slot, m1[:, None])
+    inside = slot < size[:, None]
+    h = (1.0 / (m2 - 1))[:, None]
+    table = np.zeros((len(size), k_max, dim))
+    table[..., 0] = np.where(inside, along * h, 0.0)
+    if dim > 1:
+        table[..., 1] = np.where(inside, across * h, 0.0)
+    return table, row, size
 
 
 def _screen(gram: np.ndarray, floor: float, sizes) -> np.ndarray:
@@ -172,6 +184,10 @@ def _screen(gram: np.ndarray, floor: float, sizes) -> np.ndarray:
     G alone, so the bound above holds with the member's own k. The shift is
     made in a copy; ``gram`` is left as it is. The bound ignores underflow,
     so a member with eps s below the smallest normal float never passes.
+
+    One factorization judges the whole stack: the gufunc under
+    ``np.linalg.cholesky`` returns a member it cannot factor as NaN, where
+    ``np.linalg.cholesky`` raises for the stack.
     """
     k = np.asarray(sizes)
     scale = np.abs(gram).sum(axis=-1).max(axis=-1) + abs(floor)
@@ -179,37 +195,27 @@ def _screen(gram: np.ndarray, floor: float, sizes) -> np.ndarray:
     rows = np.arange(gram.shape[-1])
     shifted = gram.copy()
     shifted[:, rows, rows] -= tau[:, None] * (rows < k[:, None])
-    passes = _EPS * scale >= np.finfo(float).tiny
-    try:  # a stacked cholesky raises if any member fails: then factor one by one
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        for i, (a, n) in enumerate(zip(shifted, k.tolist())):
-            try:
-                np.linalg.cholesky(a[:n, :n])
-            except np.linalg.LinAlgError:
-                passes[i] = False
-    return passes
+    with np.errstate(invalid="ignore"):  # raised for the NaN of a failing member
+        factor = _cholesky_lo(shifted, signature="d->d")
+    return (_EPS * scale >= np.finfo(float).tiny) & ~np.isnan(factor[:, 0, 0])
 
 
 def _solve_stack(profile: RadialProfile, f0: float, tol: float, floor: float,
-                 configs: list) -> list:
-    """(lambda_min, refutes) for each of a list of (k, dim) configurations,
-    or None where one leaves a tabulated profile's domain; (inf, False)
-    where ``_screen`` passes it against a finite ``floor``.
+                 points: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_min, refutes) arrays for a (B, K, dim) stack of configurations,
+    member b being its first ``sizes[b]`` points. lambda_min is NaN where a
+    member leaves a tabulated profile's domain, and inf where ``_screen``
+    passes it against a finite ``floor``.
 
-    The configurations are evaluated as one stack of K = max k points each,
-    a configuration padded by repeats of its first point; that moves no
-    coordinate range and no diameter. Each Gram matrix G is embedded as
+    A member is padded to K points by repeats of its first point; that moves
+    no coordinate range and no diameter. Each Gram matrix G is embedded as
     [[G, 0], [0, f0 I]]. Those that the screen does not pass are
     eigen-solved unpadded, one stack per point count, so each lambda_min is
     what eigen-solving G alone gives.
     """
-    sizes = np.array([len(pts) for pts in configs])
-    rows = np.arange(sizes.max())
-    first = np.cumsum(sizes) - sizes
-    points = np.concatenate(configs).take(first[:, None] + rows * (rows < sizes[:, None]),
-                                          axis=0)
-    members = list(range(len(configs)))  # the configurations still in the stack
+    lam = np.full(len(points), np.nan)
+    refutes = np.zeros(len(points), dtype=bool)
+    members = slice(None)  # the stack positions still evaluated
     if profile.t_max is not None:
         # A coordinate range r above t_max (1 + 4 eps) gives a computed
         # distance >= r (1 - eps) > t_max (r^2 is a normal float for r above
@@ -220,34 +226,29 @@ def _solve_stack(profile: RadialProfile, f0: float, tol: float, floor: float,
         dist = _distances(points[near])
         fits = dist.max(axis=(1, 2), initial=0.0) <= profile.t_max
         dist, sizes = dist[fits], sizes[near][fits]
-        members = np.flatnonzero(near)[fits].tolist()
+        members = np.flatnonzero(near)[fits]
+        if not len(sizes):
+            return lam, refutes
     else:
         dist = _distances(points)
-    results = [None] * len(configs)
-    if not members:
-        return results
     gram = np.asarray(profile.fn(dist), dtype=float)
     del dist
+    rows = np.arange(points.shape[1])
     pad = rows >= sizes[:, None]  # zero the rows, then the columns, past each own k
     gram[pad] = 0.0
     gram.transpose(0, 2, 1)[pad] = 0.0
     gram[:, rows, rows] = f0
-    solve = (~_screen(gram, floor, sizes)).tolist() if floor < np.inf else [True] * len(gram)
-    sizes = sizes.tolist()
-    by_size = {}  # point count -> stack positions of the members to eigen-solve
-    for b, (k, unsure) in enumerate(zip(sizes, solve)):
-        if unsure:
-            by_size.setdefault(k, []).append(b)
-    lam_min, refutes = [np.inf] * len(gram), [False] * len(gram)
-    for k, group in by_size.items():
+    low = np.full(len(gram), np.inf)
+    bad = np.zeros(len(gram), dtype=bool)
+    unsure = ~_screen(gram, floor, sizes) if floor < np.inf else np.ones(len(gram), bool)
+    for k in np.flatnonzero(np.bincount(sizes[unsure])).tolist():
+        group = np.flatnonzero(unsure & (sizes == k))
         eigvals = np.linalg.eigvalsh(gram[group, :k, :k])
-        low, norm = eigvals[:, 0], np.maximum(np.abs(eigvals[:, 0]), np.abs(eigvals[:, -1]))
-        bad = low < -tol * np.maximum(1.0, norm)
-        for b, lam, r in zip(group, low.tolist(), bad.tolist()):
-            lam_min[b], refutes[b] = lam, r
-    for i, lam, r in zip(members, lam_min, refutes):
-        results[i] = lam, r
-    return results
+        low[group] = eigvals[:, 0]
+        norm = np.maximum(np.abs(eigvals[:, 0]), np.abs(eigvals[:, -1]))
+        bad[group] = eigvals[:, 0] < -tol * np.maximum(1.0, norm)
+    lam[members], refutes[members] = low, bad
+    return lam, refutes
 
 
 def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
@@ -266,14 +267,19 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     box points of all its trials as arrays from one substream keyed by
     (seed, c). The search draws chunks in batches of 1, 2, 4, 4, ... as far
     as it goes, and puts a batch's unsolved configurations into stacks keyed
-    by lattice or box draw and by size class ceil(k / 8); ``threads``
-    spreads the stacks over worker threads. Each stack takes one distance,
-    one profile and one Cholesky evaluation (``_solve_stack``). From the
-    second batch on, a Gram matrix is eigen-solved only when ``_screen``
-    cannot place it above max(minimum of the earlier batches, -tol), where
-    it could neither refute nor hold the minimum; it is then solved
-    unpadded, so every lambda_min is what solving its matrix alone gives.
-    Results are identical for any ``threads``.
+    by lattice or box draw and by size class ceil(k / 8), k the
+    configuration's own point count; ``threads`` spreads the stacks over
+    worker threads. A batch is built as arrays: a box stack is one ``take``
+    from the batch's box points, a lattice stack one product of rows of a
+    table of unit lattices (``_lattice_table``) with the trials' spans. Each
+    stack takes one distance, one profile and one Cholesky evaluation
+    (``_solve_stack``). From the second batch on, a Gram matrix is
+    eigen-solved only when ``_screen`` cannot place it above max(minimum of
+    the earlier batches, -tol), where it could neither refute nor hold the
+    minimum; it is then solved unpadded, so every lambda_min is what solving
+    its matrix alone gives. The batch's outcomes are then read in trial
+    order: the first refuting trial ends the search. Results are identical
+    for any ``threads``.
 
     Fixed-span lattices depend on the point count alone; each is evaluated
     once per call and its outcome reused. ``configurations_solved`` counts
@@ -300,70 +306,96 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
 
     f0 = float(profile(0.0))
     fixed_span = 2.0 * _BOX_HALFWIDTH
-    units, fixed = {}, {}  # lattice shape -> unit lattice, fixed-span lattice
-    # configuration key -> _solve_stack() result. A fixed-span lattice's key
-    # is its shape, so it is evaluated once per call; every other
-    # configuration's key is its trial index.
-    outcome = {}
+    table, lattice_row, lattice_size = _lattice_table(dim, k_max)
+    n_classes = -(-k_max // _SIZE_CLASS) + 1  # stack keys: size class, plus this for lattices
+    # Outcomes of the fixed-span lattices by table row: a fixed-span lattice
+    # is evaluated once per call. Scaled lattices and box draws are each
+    # their trial's own configuration.
+    shape_lam = np.full(len(table), np.nan)
+    shape_refutes = np.zeros(len(table), dtype=bool)
+    shape_solved = np.zeros(len(table), dtype=bool)
+    shape_counted = np.zeros(len(table), dtype=bool)  # evaluated among the trials run
+    own_counted = own_eigensolves = skipped = 0
 
     global_min = np.inf
     global_min_pts = None
-    skipped = 0
-    counted = set()  # configuration keys evaluated so far
     refutation = None  # (trials run, points) of the refuting trial
     n_chunks = -(-trials // _CHUNK)
     first, size = 0, 1
     while first < n_chunks and refutation is None:
         floor = max(global_min, -tol)  # set before any worker runs; inf in the first batch
-        configs = []  # (trial index, key, points) per trial, in trial order
-        groups = {}  # (box?, size class) -> {key: points} of the unsolved configurations
+        draws = []  # (point counts, spans, box points) per chunk
         for chunk in range(first, min(first + size, n_chunks)):
-            start = chunk * _CHUNK
-            n = min(_CHUNK, trials - start)
+            n = min(_CHUNK, trials - chunk * _CHUNK)
             rng = substream(seed, ROLE_TRIAL, chunk)
-            ks = rng.integers(2, k_max + 1, size=n).tolist()
-            spans = rng.uniform(0.5, fixed_span, size=n).tolist()
-            kinds = [(start + j) % _N_KINDS for j in range(n)]
-            box_ks = [k for k, kind in zip(ks, kinds) if kind == _KIND_RANDOM_BOX]
-            box = rng.uniform(-_BOX_HALFWIDTH, _BOX_HALFWIDTH, size=(sum(box_ks), dim))
-            box_at = 0
-            for j, (kind, k) in enumerate(zip(kinds, ks)):
-                if kind == _KIND_RANDOM_BOX:
-                    key, pts = start + j, box[box_at:box_at + k]
-                    box_at += k
-                else:
-                    shape = _lattice_shape(kind, dim, k)
-                    if shape not in units:
-                        units[shape] = _unit_lattice(shape, dim)
-                        fixed[shape] = units[shape] * fixed_span
-                    if kind == _KIND_SCALED_LATTICE:
-                        key, pts = start + j, units[shape] * spans[j]
-                    else:
-                        key, pts = shape, fixed[shape]
-                configs.append((start + j, key, pts))
-                if key not in outcome:
-                    stack = kind == _KIND_RANDOM_BOX, -(-len(pts) // _SIZE_CLASS)
-                    groups.setdefault(stack, {})[key] = pts
+            ks = rng.integers(2, k_max + 1, size=n)
+            spans = rng.uniform(0.5, fixed_span, size=n)
+            box_ks = ks[(chunk * _CHUNK + np.arange(n)) % _N_KINDS == _KIND_RANDOM_BOX]
+            draws.append((ks, spans, rng.uniform(-_BOX_HALFWIDTH, _BOX_HALFWIDTH,
+                                                  size=(int(box_ks.sum()), dim))))
+        start = first * _CHUNK
         first, size = first + size, min(2 * size, _BATCH_CAP)
-        groups = list(groups.values())
-        solved = parallel_map(
-            lambda g: _solve_stack(profile, f0, tol, floor, list(groups[g].values())),
-            len(groups), threads)
-        for group, results in zip(groups, solved):
-            outcome.update(zip(group, results))
+        ks, spans, box = (np.concatenate(parts) for parts in zip(*draws))
 
-        for trial, key, pts in configs:
-            result = outcome[key]
-            if result is None:
-                skipped += 1
-                continue
-            counted.add(key)
-            lam_min, refutes = result
-            if lam_min < global_min:
-                global_min, global_min_pts = lam_min, pts
-            if refutes:
-                refutation = trial + 1, pts
-                break
+        # One entry per trial of the batch, in trial order.
+        kinds = (start + np.arange(len(ks))) % _N_KINDS
+        is_box = kinds == _KIND_RANDOM_BOX
+        own = is_box | (kinds == _KIND_SCALED_LATTICE)
+        fixed = ~own
+        row = lattice_row[(kinds != _KIND_LATTICE_1D).astype(int), ks - 2]
+        npts = np.where(is_box, ks, lattice_size[row])
+        span = np.where(kinds == _KIND_SCALED_LATTICE, spans, fixed_span)
+        box_at = np.cumsum(ks * is_box) - ks * is_box  # a box trial's first row of box
+
+        def points_of(members):
+            """The (len(members), K, dim) stack of the members' points."""
+            n = npts[members]
+            slots = np.arange(n.max())
+            if is_box[members[0]]:
+                return box.take(box_at[members][:, None] + slots * (slots < n[:, None]), axis=0)
+            return table[row[members], :len(slots)] * span[members][:, None, None]
+
+        # Solve every own configuration and one trial of each fixed-span
+        # lattice not solved before, in stacks keyed by (box?, size class).
+        # Distinct values are found by marking, not sorting: np.unique and
+        # np.union1d here raised a certify call's peak RSS by 1.6-2 MB, the
+        # numpy sort code they page in.
+        trial_of = np.full(len(table), -1)
+        trial_of[row[fixed]] = np.flatnonzero(fixed)
+        new = trial_of[(trial_of >= 0) & ~shape_solved]
+        solve = own.copy()
+        solve[new] = True
+        todo = np.flatnonzero(solve)
+        stack_of = (np.where(is_box, 0, n_classes) + -(-npts // _SIZE_CLASS))[todo]
+        stacks = [todo[stack_of == key] for key in np.flatnonzero(np.bincount(stack_of))]
+        solved = parallel_map(
+            lambda s: _solve_stack(profile, f0, tol, floor, points_of(stacks[s]),
+                                   npts[stacks[s]]),
+            len(stacks), threads)
+        lam = np.empty(len(ks))
+        refutes = np.empty(len(ks), dtype=bool)
+        for members, (stack_lam, stack_refutes) in zip(stacks, solved):
+            lam[members], refutes[members] = stack_lam, stack_refutes
+        shape_solved[row[new]] = True
+        shape_lam[row[new]], shape_refutes[row[new]] = lam[new], refutes[new]
+        lam[fixed], refutes[fixed] = shape_lam[row[fixed]], shape_refutes[row[fixed]]
+
+        # Read the outcomes in trial order, up to the first refuting trial.
+        hits = np.flatnonzero(refutes)
+        run = int(hits[0]) + 1 if len(hits) else len(ks)
+        lam = lam[:run]
+        evaluated = ~np.isnan(lam)
+        skipped += run - int(evaluated.sum())
+        counted = evaluated & own[:run]
+        own_counted += int(counted.sum())
+        own_eigensolves += int((counted & (lam < np.inf)).sum())
+        shape_counted[row[:run][evaluated & fixed[:run]]] = True
+        lam = np.where(evaluated, lam, np.inf)
+        best = int(np.argmin(lam))
+        if lam[best] < global_min:
+            global_min, global_min_pts = float(lam[best]), points_of([best])[0]
+        if len(hits):
+            refutation = start + run, points_of([run - 1])[0]
 
     verdict = "certified" if profile.t_max is None else "inconclusive"
     trials_run, points, witness = trials, global_min_pts, None
@@ -382,6 +414,6 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         witness=witness,
         trials_run=trials_run,
         trials_skipped=skipped,
-        configurations_solved=len(counted),
-        eigensolves=sum(outcome[key][0] < np.inf for key in counted),
+        configurations_solved=own_counted + int(shape_counted.sum()),
+        eigensolves=own_eigensolves + int((shape_counted & (shape_lam < np.inf)).sum()),
     )

@@ -365,6 +365,17 @@ class TestSeedPolicy:
 CERTIFY_SCREENED = ("certify", "gaussian", "--dim", "5", "--trials", "600", "--seed", "42")
 
 
+@pytest.mark.parametrize("argv", [
+    ("decompose", "exp-mixture", "--ridge", "1e-7"),
+    ("certify", "triangle", "--dim", "2", "--seed", "1"),  # refuted: carries a witness
+])
+def test_report_is_json_dumps_bytes(capsys, argv):
+    # a report is one line: json.dumps's default separators and float reprs
+    cli.main(list(argv))
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out)) + "\n"
+
+
 def comparable_payload(payload) -> str:
     payload["config"].pop("threads", None)
     return json.dumps({"config": payload["config"], "results": payload["results"],

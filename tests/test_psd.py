@@ -254,6 +254,26 @@ def test_screen_is_sound_on_planted_spectra(k, floor, offset, below, spread, see
     assert check_screen(planted(1e-6), floor, rng)[0]
 
 
+def test_stacked_cholesky_returns_a_failing_member_as_nan():
+    # _screen judges a whole stack with this private gufunc of numpy's: where
+    # np.linalg.cholesky raises for the stack, it returns the member it cannot
+    # factor as NaN and the others as np.linalg.cholesky factors them alone
+    from numpy.linalg._umath_linalg import cholesky_lo
+
+    assert psd._cholesky_lo is cholesky_lo
+    a = np.random.default_rng(0).standard_normal((5, 5))
+    definite = a @ a.T + np.eye(5)
+    indefinite = np.diag([2.0, 1.0, -1.0, 3.0, 1.0]) + 0.1
+    stack = np.stack([definite, indefinite, 2.0 * definite])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(stack)
+    with np.errstate(invalid="ignore"):
+        factor = cholesky_lo(stack, signature="d->d")
+    assert np.isnan(factor[1]).all()
+    for i in (0, 2):
+        assert factor[i].tobytes() == np.linalg.cholesky(stack[i]).tobytes()
+
+
 @pytest.mark.parametrize("t_max", [0.7, 1.0, 3.3])
 def test_prefilter_keeps_what_the_diameter_test_keeps(monkeypatch, t_max):
     # Coordinate ranges from 6 ulps below t_max to past the prefilter's
@@ -280,7 +300,10 @@ def test_prefilter_keeps_what_the_diameter_test_keeps(monkeypatch, t_max):
         return distances(points)
 
     monkeypatch.setattr(psd, "_distances", recording)
-    results = psd._solve_stack(profile, 1.0, 1e-8, np.inf, configs)
+    sizes = np.array([len(pts) for pts in configs])
+    points = np.stack([pts[[*range(len(pts)), *[0] * (3 - len(pts))]] for pts in configs])
+    lam, refutes = psd._solve_stack(profile, 1.0, 1e-8, np.inf, points, sizes)
+    results = [None if np.isnan(v) else (v, r) for v, r in zip(lam, refutes)]
     diameters = [distances(pts).max() for pts in configs]
     assert [r is None for r in results] == [d > t_max for d in diameters]
     limit = t_max * (1 + 4 * np.finfo(float).eps)
@@ -431,20 +454,53 @@ class TestCertify:
         return report
 
     def test_refutation_matches_oracle(self):
-        # the refuting trial is the first whose own Gram matrix refutes
-        tri = catalog_profile("triangle")
-        report = certify_psd(tri, dim=2, trials=500, k_max=64, seed=7)
-        configs = oracle_configurations(2, 500, 64, 7)
+        # refutes in the first batch, before any screen
+        self.check_refutation(catalog_profile("triangle"), dim=2, trials=500, tol=1e-8, seed=7)
+
+    @pytest.mark.parametrize("case, trials, tol, seed", [
+        # refutes at trial index 72 (batch 2), while its minimum, -0.0467, is
+        # at trial index 8: the report keeps the refuting trial's points
+        ("triangle", 500, 1e-2, 0),
+        # the Gaussian tabulated at 101 nodes on [0, 1], whose PCHIP interpolant
+        # is not PD in R^2: trials_run 129, 189, 105 and 217 (batches 2-3),
+        # with the screen on
+        ("pchip-gaussian", 2000, 1e-8, 1),
+        ("pchip-gaussian", 2000, 1e-8, 2),
+        ("pchip-gaussian", 2000, 1e-8, 3),
+        ("pchip-gaussian", 2000, 1e-8, 1938),
+    ])
+    def test_later_refutation_matches_oracle(self, case, trials, tol, seed):
+        if case == "triangle":
+            f = catalog_profile("triangle")
+        else:
+            t = np.linspace(0.0, 1.0, 101)
+            f = tabulated_profile(t, np.exp(-t**2 / 2))
+        self.check_refutation(f, dim=2, trials=trials, tol=tol, seed=seed)
+
+    @staticmethod
+    def check_refutation(f, dim, trials, tol, seed):
+        # the refuting trial is the first whose own Gram matrix refutes, and
+        # the report keeps its points; the minimum is over the trials run
+        report = certify_psd(f, dim=dim, trials=trials, k_max=64, tol=tol, seed=seed)
+        configs = oracle_configurations(dim, trials, 64, seed)
+        lowest, evaluated = np.inf, []
         for index, pts in enumerate(configs):
-            vals = np.linalg.eigvalsh(gram_matrix(tri, pts))
-            if vals[0] < -1e-8 * max(1.0, abs(vals[0]), abs(vals[-1])):
+            if f.t_max is not None and \
+                    np.linalg.norm(pts[:, None] - pts[None], axis=-1).max() > f.t_max:
+                continue  # off the tabulated domain: skipped
+            evaluated.append(pts)
+            vals = np.linalg.eigvalsh(gram_matrix(f, pts))
+            lowest = min(lowest, vals[0])
+            if vals[0] < -tol * max(1.0, abs(vals[0]), abs(vals[-1])):
                 break
         assert report.refuted
         assert report.trials_run == index + 1
-        np.testing.assert_array_equal(report.points, configs[index])
-        witness = np.linalg.eigh(gram_matrix(tri, configs[index]))[1][:, 0]
+        assert report.trials_skipped == report.trials_run - len(evaluated)
+        np.testing.assert_array_equal(report.points, configs[report.trials_run - 1])
+        assert report.min_eigenvalue == lowest
+        witness = np.linalg.eigh(gram_matrix(f, configs[index]))[1][:, 0]
         assert report.witness[0].tobytes() == witness.tobytes()
-        distinct = {(p.shape, p.tobytes()) for p in configs[:index + 1]}
+        distinct = {(p.shape, p.tobytes()) for p in evaluated}
         assert report.configurations_solved == len(distinct)
 
     def test_each_lattice_solved_once(self, monkeypatch):
