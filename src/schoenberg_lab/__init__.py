@@ -22,7 +22,6 @@ from .measures import (
     levy_measure,
     marginal_consistency_check,
     mixture_laplace,
-    profile_from_measure,
 )
 from .monotonicity import MonotonicityReport, complete_monotonicity_check
 from .profiles import (
@@ -31,7 +30,7 @@ from .profiles import (
     profile_from_csv,
     tabulated_profile,
 )
-from .psd import PsdReport, certify_psd, gram_matrix, min_eigenvalue, quadratic_form
+from .psd import PsdReport, certify_psd, gram_matrix, quadratic_form
 from .recover import (
     RecoveryProblem,
     RecoveryResult,
@@ -67,11 +66,9 @@ __all__ = [
     "ks_distance",
     "levy_measure",
     "marginal_consistency_check",
-    "min_eigenvalue",
     "mixture_laplace",
     "nnls",
     "profile_from_csv",
-    "profile_from_measure",
     "quadratic_form",
     "recover_mixing",
     "tabulated_profile",

@@ -171,7 +171,10 @@ def cmd_verify_identity(args) -> tuple[dict, bool, str]:
         raise ValueError(f"--n-coarse must be >= 1 and < --n, got {args.n_coarse}, {args.n}")
     profile = profiles.resolve_profile(args.profile)
     measure = measures.resolve_measure(args.measure)
-    t_values = [float(v) for v in args.t.split(",")]
+    try:
+        t_values = [float(v) for v in args.t.split(",")]
+    except ValueError:
+        raise ValueError(f"--t must be comma-separated numbers, got {args.t!r}") from None
     fines = definetti.key_identity_mc(profile, measure, t_values, n=args.n,
                                       reps=args.reps, seed=args.seed)
     coarses = definetti.identity_lhs(profile, t_values, n=args.n_coarse,

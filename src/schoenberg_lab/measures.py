@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from .profiles import RadialProfile
 from .rng import ROLE_NOISE, ROLE_SCALE, substream
 
 MASS_TOL = 1e-9
@@ -126,12 +125,6 @@ def mixture_laplace(measure: MixingMeasure, t) -> np.ndarray | float:
     return float(out) if t.ndim == 0 else out
 
 
-def profile_from_measure(measure: MixingMeasure) -> RadialProfile:
-    """The radial profile t -> mixture_laplace(nu, t) as a RadialProfile."""
-    return RadialProfile(label=f"mixture[{measure.label}]",
-                         fn=lambda t: mixture_laplace(measure, t))
-
-
 def draw_scales(measure: MixingMeasure, count: int, rng: np.random.Generator) -> np.ndarray:
     """Categorical draw of scales by cumulative inverse-CDF search.
 
@@ -225,7 +218,6 @@ class ConsistencyReport:
     ks_first_coordinate: float
     ks_squared_norm: float
     critical_value: float
-    count: int
     alpha: float
     passed: bool
 
@@ -279,7 +271,6 @@ def marginal_consistency_check(measure: MixingMeasure, dim: int, count: int = 10
         ks_first_coordinate=ks_first,
         ks_squared_norm=ks_norm,
         critical_value=crit,
-        count=count,
         alpha=KS_ALPHA,
         passed=ks_first < crit and ks_norm < crit,
     )

@@ -114,7 +114,7 @@ def tabulated_profile(t_nodes, f_nodes, label: str = "tabulated") -> RadialProfi
 def read_tf_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """The (t, f) columns of a CSV with header ``t,f`` and at least one data row.
 
-    Blank lines are skipped; a row with fewer than two columns is an error.
+    Blank lines are skipped; a row that does not start with two numbers is an error.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -125,10 +125,11 @@ def read_tf_csv(path) -> tuple[np.ndarray, np.ndarray]:
         for row in reader:
             if not row:
                 continue
-            if len(row) < 2:
+            try:
+                rows.append((float(row[0]), float(row[1])))
+            except (IndexError, ValueError):
                 raise ValueError(f"{path}, line {reader.line_num}: "
-                                 f"expected two columns t,f, got {row!r}")
-            rows.append((float(row[0]), float(row[1])))
+                                 f"expected two numbers t,f, got {row!r}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     t, f = map(np.asarray, zip(*rows))

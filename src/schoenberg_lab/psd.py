@@ -18,7 +18,6 @@ from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 from .profiles import RadialProfile
 from .rng import ROLE_TRIAL, parallel_map, substream
 
-SYMMETRY_RTOL = 1e-12
 _EPS = np.finfo(float).eps
 
 # Per-trial candidate kinds, cycled by trial index. Scaled lattices come
@@ -121,15 +120,6 @@ def quadratic_form(gram: np.ndarray, coefficients) -> float:
     if c.shape != (gram.shape[0],):
         raise ValueError(f"coefficient vector has shape {c.shape}, Gram is {gram.shape}")
     return float(np.real(np.conj(c) @ (gram @ c)))
-
-
-def min_eigenvalue(gram: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    gram = np.asarray(gram, dtype=float)
-    scale = np.abs(gram).max(initial=0.0)
-    if not np.allclose(gram, gram.T, rtol=0.0, atol=SYMMETRY_RTOL * max(scale, 1.0)):
-        raise ValueError("matrix is not symmetric")
-    return float(np.linalg.eigvalsh(gram)[0])
 
 
 def _lattice_table(dim: int, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -282,9 +272,12 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     for any ``threads``.
 
     Fixed-span lattices depend on the point count alone; each is evaluated
-    once per call and its outcome reused. ``configurations_solved`` counts
-    the distinct Gram matrices evaluated among the trials run, by eigensolve
-    or by the screen, and ``eigensolves`` those of them eigen-solved.
+    once per call, at its first trial, and its outcome reused.
+    ``configurations_solved`` counts the trials run, and not skipped, that
+    solved their configuration: every scaled-lattice and box trial, and the
+    first trial of each fixed-span lattice. That is the number of distinct
+    Gram matrices evaluated, by eigensolve or by the screen; ``eigensolves``
+    counts those of them eigen-solved.
     ``trials_skipped`` counts the trials whose configuration left a
     tabulated profile's domain; skipped trials are not evaluated.
 
@@ -314,8 +307,7 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     shape_lam = np.full(len(table), np.nan)
     shape_refutes = np.zeros(len(table), dtype=bool)
     shape_solved = np.zeros(len(table), dtype=bool)
-    shape_counted = np.zeros(len(table), dtype=bool)  # evaluated among the trials run
-    own_counted = own_eigensolves = skipped = 0
+    n_solved = n_eigensolves = skipped = 0
 
     global_min = np.inf
     global_min_pts = None
@@ -355,14 +347,14 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
                 return box.take(box_at[members][:, None] + slots * (slots < n[:, None]), axis=0)
             return table[row[members], :len(slots)] * span[members][:, None, None]
 
-        # Solve every own configuration and one trial of each fixed-span
+        # Solve every own configuration and the first trial of each fixed-span
         # lattice not solved before, in stacks keyed by (box?, size class).
         # Distinct values are found by marking, not sorting: np.unique and
         # np.union1d here raised a certify call's peak RSS by 1.6-2 MB, the
         # numpy sort code they page in.
-        trial_of = np.full(len(table), -1)
-        trial_of[row[fixed]] = np.flatnonzero(fixed)
-        new = trial_of[(trial_of >= 0) & ~shape_solved]
+        trial_of = np.full(len(table), len(ks))  # each shape's first trial in the batch
+        np.minimum.at(trial_of, row[fixed], np.flatnonzero(fixed))
+        new = trial_of[(trial_of < len(ks)) & ~shape_solved]
         solve = own.copy()
         solve[new] = True
         todo = np.flatnonzero(solve)
@@ -386,10 +378,9 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         lam = lam[:run]
         evaluated = ~np.isnan(lam)
         skipped += run - int(evaluated.sum())
-        counted = evaluated & own[:run]
-        own_counted += int(counted.sum())
-        own_eigensolves += int((counted & (lam < np.inf)).sum())
-        shape_counted[row[:run][evaluated & fixed[:run]]] = True
+        counted = evaluated & solve[:run]
+        n_solved += int(counted.sum())
+        n_eigensolves += int((counted & (lam < np.inf)).sum())
         lam = np.where(evaluated, lam, np.inf)
         best = int(np.argmin(lam))
         if lam[best] < global_min:
@@ -414,6 +405,6 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         witness=witness,
         trials_run=trials_run,
         trials_skipped=skipped,
-        configurations_solved=own_counted + int(shape_counted.sum()),
-        eigensolves=own_eigensolves + int((shape_counted & (shape_lam < np.inf)).sum()),
+        configurations_solved=n_solved,
+        eigensolves=n_eigensolves,
     )

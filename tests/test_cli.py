@@ -309,6 +309,7 @@ class TestVerifyIdentity:
         ("gaussian", "delta:1", "--t", "1", "--reps", "1"),
         ("gaussian", "delta:1", "--t", "1,-1"),
         ("gaussian", "delta:1", "--t", "1,nan"),
+        ("gaussian", "delta:1", "--t", "0.5,,1"),
         ("gaussian", "delta:1", "--t", "1", "--n-coarse", "0"),
     ])
     def test_bad_input_is_rejected_before_any_draw(self, capsys, monkeypatch, argv):
@@ -318,6 +319,13 @@ class TestVerifyIdentity:
         monkeypatch.setattr(definetti, "substream", no_draws)
         code, _, _ = run_cli(capsys, "verify-identity", *argv)
         assert code == 1
+
+    @pytest.mark.parametrize("t", ["0.5,,1", "0.5,abc"])
+    def test_non_numeric_t_names_the_option(self, capsys, t):
+        code, payload, err = run_cli(capsys, "verify-identity", "gaussian", "delta:1", "--t", t)
+        assert code == 1
+        assert payload is None
+        assert err.startswith("error: --t ")
 
 
 class TestConsistency:
@@ -478,8 +486,8 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 
 
 @pytest.mark.parametrize("command", ["certify", "decompose"])
-@pytest.mark.parametrize("content", ["t,f\n0,1\n0.5\n1,0.4\n", "t,f\n"],
-                         ids=["short-row", "header-only"])
+@pytest.mark.parametrize("content", ["t,f\n0,1\n0.5\n1,0.4\n", "t,f\n", "t,f\n0,1\n0.5,abc\n"],
+                         ids=["short-row", "header-only", "non-numeric"])
 def test_malformed_profile_csv_is_usage_error(capsys, tmp_path, command, content):
     path = tmp_path / "profile.csv"
     path.write_text(content)

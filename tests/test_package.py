@@ -25,11 +25,9 @@ PUBLIC_NAMES = [
     "ks_distance",
     "levy_measure",
     "marginal_consistency_check",
-    "min_eigenvalue",
     "mixture_laplace",
     "nnls",
     "profile_from_csv",
-    "profile_from_measure",
     "quadratic_form",
     "recover_mixing",
     "tabulated_profile",

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from schoenberg_lab import (
+    RadialProfile,
     catalog_profile,
     certify_psd,
     exponential_measure,
     gram_matrix,
-    min_eigenvalue,
-    profile_from_measure,
+    mixture_laplace,
     quadratic_form,
     tabulated_profile,
 )
@@ -143,23 +143,6 @@ class TestQuadraticForm:
             assert quadratic_form(g, vecs[:, i]) == pytest.approx(vals[i], abs=1e-8 * scale)
 
 
-class TestMinEigenvalue:
-    def test_identity(self):
-        assert min_eigenvalue(np.eye(3)) == pytest.approx(1.0)
-
-    def test_two_by_two_closed_form(self):
-        off = np.exp(-2.0)
-        g = np.array([[1.0, off], [off, 1.0]])
-        assert min_eigenvalue(g) == pytest.approx(1.0 - off)
-
-    def test_singular(self):
-        assert min_eigenvalue(np.ones((2, 2))) == pytest.approx(0.0, abs=1e-14)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            min_eigenvalue(np.array([[1.0, 0.5], [0.1, 1.0]]))
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_rayleigh_bound(seed):
@@ -170,7 +153,7 @@ def test_rayleigh_bound(seed):
     g = (a + a.T) / 2
     c = rng.standard_normal(k)
     rayleigh = quadratic_form(g, c) / (c @ c)
-    assert min_eigenvalue(g) <= rayleigh + 1e-10 * max(1.0, np.abs(g).max())
+    assert np.linalg.eigvalsh(g)[0] <= rayleigh + 1e-10 * max(1.0, np.abs(g).max())
 
 
 def check_screen(gram, floor, rng, tol=1e-8):
@@ -205,7 +188,7 @@ def screen_embedded(gram, floor, rng):
         stack[b, :n, :n] = members[i]
     before = stack.copy()
     passed = psd._screen(stack, floor, [len(members[i]) for i in order])
-    np.testing.assert_array_equal(stack, before)  # the shifted diagonal is put back
+    np.testing.assert_array_equal(stack, before)  # the screen leaves the stack as it was
     return bool(passed[int(np.flatnonzero(order == 0)[0])])
 
 
@@ -348,7 +331,7 @@ class TestCertify:
     @pytest.mark.parametrize("dim", [1, 3, 8])
     def test_mixture_profiles_never_refuted(self, dim):
         measure = exponential_measure()
-        profile = profile_from_measure(measure)
+        profile = RadialProfile("mixture", lambda t: mixture_laplace(measure, t))
         report = certify_psd(profile, dim=dim, trials=300, k_max=12, tol=1e-8, seed=5)
         assert report.certified
 
@@ -435,14 +418,14 @@ class TestCertify:
         # oracle: rebuild every trial's configuration from its chunk's
         # substream, skip those whose largest distance exceeds a tabulated
         # profile's t_max, and solve the rest alone through the public Gram
-        # and eigenvalue functions; the batched, memoised search must agree
+        # function and eigvalsh; the batched, memoised search must agree
         # exactly
         report = certify_psd(f, dim=dim, trials=trials, k_max=k_max, seed=seed)
         configs = oracle_configurations(dim, trials, k_max, seed)
         if f.t_max is not None:
             configs = [pts for pts in configs
                        if np.linalg.norm(pts[:, None] - pts[None], axis=-1).max() <= f.t_max]
-        lams = [min_eigenvalue(gram_matrix(f, pts)) for pts in configs]
+        lams = [np.linalg.eigvalsh(gram_matrix(f, pts))[0] for pts in configs]
         assert report.trials_run == trials
         assert report.trials_skipped == trials - len(configs)
         assert report.min_eigenvalue == min(lams)
@@ -477,6 +460,20 @@ class TestCertify:
             f = tabulated_profile(t, np.exp(-t**2 / 2))
         self.check_refutation(f, dim=2, trials=trials, tol=tol, seed=seed)
 
+    @pytest.mark.parametrize("dim", [3, 5])
+    @pytest.mark.parametrize("seed, run, k, solved", [
+        (7, 13, 49, 13), (1938, 13, 42, 12), (0, 9, 56, 9)])
+    def test_refutation_beyond_the_plane_matches_oracle(self, dim, seed, run, k, solved):
+        # the witnesses are planar lattices on the first two axes; at seed
+        # 1938 a fixed-span lattice recurs before the refuting trial and is
+        # solved once
+        report = self.check_refutation(catalog_profile("triangle"), dim=dim, trials=500,
+                                       tol=1e-8, seed=seed)
+        assert report.trials_run == run
+        assert report.points.shape == (k, dim)
+        assert report.points[:, :2].any(axis=0).all() and not report.points[:, 2:].any()
+        assert report.configurations_solved == solved
+
     @staticmethod
     def check_refutation(f, dim, trials, tol, seed):
         # the refuting trial is the first whose own Gram matrix refutes, and
@@ -502,6 +499,7 @@ class TestCertify:
         assert report.witness[0].tobytes() == witness.tobytes()
         distinct = {(p.shape, p.tobytes()) for p in evaluated}
         assert report.configurations_solved == len(distinct)
+        return report
 
     def test_each_lattice_solved_once(self, monkeypatch):
         # half the trials are fixed-span lattices: at most k_max - 1 distinct
