@@ -20,6 +20,7 @@ each option it read and ``stream_version``, the version of its random streams.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -235,6 +236,7 @@ def cmd_cm_check(args) -> tuple[dict, bool, str]:
     return results, report.passed, summary
 
 
+@functools.cache  # one parser per process; main looks each handler up per call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schoenberg-lab",
@@ -251,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     _add_seed(p)
     p.add_argument("--threads", type=int, default=1, help="worker threads")
-    p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("decompose", help="recover the mixing measure from a profile")
     p.add_argument("profile", help="catalog profile id or samples CSV (header t,f)")
@@ -264,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--residual-threshold", type=float, default=1e-3,
                    help="exit 2 when the fit residual exceeds this")
     p.add_argument("--out", default=None, help="write the measure JSON here")
-    p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("simulate", help="estimate the mixing measure by simulation")
     p.add_argument("measure", help="measure JSON path or shorthand (delta:1, exp:1, levy:1)")
@@ -278,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=64,
                    help="bin count for --out-measure")
     _add_seed(p)
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify-identity", help="two-sided Monte Carlo identity check")
     p.add_argument("profile")
@@ -288,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-coarse", type=int, default=10)
     p.add_argument("--reps", type=int, default=100_000)
     _add_seed(p)
-    p.set_defaults(fn=cmd_verify_identity)
 
     p = sub.add_parser("consistency", help="marginal-consistency KS check")
     p.add_argument("measure")
@@ -298,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="negative control: rescale the higher-dimensional sample "
                         "by this finite factor > 0")
     _add_seed(p)
-    p.set_defaults(fn=cmd_consistency)
 
     p = sub.add_parser("cm-check", help="complete-monotonicity difference test")
     p.add_argument("profile")
@@ -307,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-max", type=float, default=4.0)
     p.add_argument("--u-step", type=float, default=0.05)
     p.add_argument("--h", type=float, default=0.1)
-    p.set_defaults(fn=cmd_cm_check)
 
     return parser
 
@@ -320,8 +316,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     started = time.monotonic()
     try:
-        results, passed, summary = args.fn(args)  # may resolve options in args
-        config = {k: v for k, v in vars(args).items() if k not in ("command", "fn")}
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        results, passed, summary = handler(args)  # may resolve options in args
+        config = {k: v for k, v in vars(args).items() if k != "command"}
         emit_report(args.command, config, results, passed, started)
         print(summary, file=sys.stderr)
         return EXIT_PASS if passed else EXIT_FAIL

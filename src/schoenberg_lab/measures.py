@@ -131,11 +131,27 @@ def draw_scales(measure: MixingMeasure, count: int, rng: np.random.Generator) ->
     Fixed choice (not the alias method) so streams are reproducible across
     versions: u ~ U[0,1), then the first atom whose cumulative weight
     exceeds u.
+
+    A guide table (Chen & Asau 1974) indexes that search: with M the power of
+    two >= 16 x min(atoms, count), a bucket [b/M, (b+1)/M) holding no
+    cumulative weight maps all its u to one atom; only other buckets' draws
+    are searched. Scaling by M is exact, so draws match the search bit for bit.
     """
-    cum = np.cumsum(measure.weights)
-    cum[-1] = 1.0  # guard the top edge against rounding
-    idx = np.searchsorted(cum, rng.random(count), side="right")
-    return measure.scales[idx]
+    buckets = 1 << (16 * min(len(measure.weights), count) - 1).bit_length()
+    cum = np.cumsum(measure.weights) * buckets
+    cum[-1] = buckets  # guard the top edge against rounding
+    # atoms with scaled cumulative weight <= b, and < b + 1: the search at either end of bucket b
+    lo = np.cumsum(np.bincount(np.ceil(cum).astype(np.intp), minlength=buckets)[:buckets])
+    hi = np.cumsum(np.bincount(cum.astype(np.intp), minlength=buckets)[:buckets])
+    u = rng.random(count)
+    u *= buckets
+    bucket = u.astype(np.intp)
+    todo = np.flatnonzero((lo != hi)[bucket])
+    found = measure.scales[np.searchsorted(cum, u[todo], side="right")]
+    # into u's memory, unbuffered (every bucket < M, so clip never clips): fewer page faults
+    out = np.take(measure.scales[lo], bucket, out=u, mode="clip")
+    out[todo] = found
+    return out
 
 
 def _sample(measure: MixingMeasure, dim: int, count: int,

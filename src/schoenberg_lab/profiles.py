@@ -20,6 +20,7 @@ dimension >= 2.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -114,7 +115,7 @@ def tabulated_profile(t_nodes, f_nodes, label: str = "tabulated") -> RadialProfi
 def read_tf_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """The (t, f) columns of a CSV with header ``t,f`` and at least one data row.
 
-    Blank lines are skipped; a row that does not start with two numbers is an error.
+    Blank lines are skipped; a row that does not start with two finite numbers is an error.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -126,10 +127,13 @@ def read_tf_csv(path) -> tuple[np.ndarray, np.ndarray]:
             if not row:
                 continue
             try:
-                rows.append((float(row[0]), float(row[1])))
+                t, f = float(row[0]), float(row[1])
             except (IndexError, ValueError):
+                t = f = math.nan
+            if not (math.isfinite(t) and math.isfinite(f)):
                 raise ValueError(f"{path}, line {reader.line_num}: "
-                                 f"expected two numbers t,f, got {row!r}") from None
+                                 f"expected two finite numbers t,f, got {row!r}")
+            rows.append((t, f))
     if not rows:
         raise ValueError(f"{path}: no data rows")
     t, f = map(np.asarray, zip(*rows))

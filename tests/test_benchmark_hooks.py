@@ -36,3 +36,22 @@ def test_machine_header_resolves_threads(monkeypatch):
     run = importlib.import_module("run")
     assert cli._resolve_threads(cli.build_parser().parse_args(["certify", "gaussian"])) == 1
     assert "cli threads=1" in run.machine_header(cli, None)[1]
+
+
+def test_layer_trace_binds_handlers_after_the_parser_is_built(monkeypatch, capsys):
+    # perfbench builds the parser and calls cli.main before it installs the
+    # tracer; the tracer's handler spans must be recorded all the same
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    cli.build_parser()
+    assert cli.main(["cm-check", "gaussian"]) == 0
+    trace = layers.LayerTrace()
+    try:
+        trace.install()
+        assert cli.main(["cm-check", "gaussian"]) == 0
+    finally:
+        trace.uninstall()
+    capsys.readouterr()
+    names = [span.name for span in trace.tracer.take()]
+    assert names.count("cli.cmd_cm_check") == 1
+    assert names.count("cli.main") == 1

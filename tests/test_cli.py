@@ -485,9 +485,10 @@ print(json.dumps({"codes": codes, "scipy": sorted(
     assert out["scipy"] == []
 
 
-@pytest.mark.parametrize("command", ["certify", "decompose"])
-@pytest.mark.parametrize("content", ["t,f\n0,1\n0.5\n1,0.4\n", "t,f\n", "t,f\n0,1\n0.5,abc\n"],
-                         ids=["short-row", "header-only", "non-numeric"])
+@pytest.mark.parametrize("command", ["certify", "decompose", "cm-check"])
+@pytest.mark.parametrize("content", ["t,f\n0,1\n0.5\n1,0.4\n", "t,f\n", "t,f\n0,1\n0.5,abc\n",
+                                     "t,f\n0,1\n0.5,nan\n1,0.4\n", "t,f\n0,1\ninf,0.5\n"],
+                         ids=["short-row", "header-only", "non-numeric", "nan", "inf"])
 def test_malformed_profile_csv_is_usage_error(capsys, tmp_path, command, content):
     path = tmp_path / "profile.csv"
     path.write_text(content)
@@ -495,8 +496,21 @@ def test_malformed_profile_csv_is_usage_error(capsys, tmp_path, command, content
     code, payload, err = run_cli(capsys, command, str(path), *seed)
     assert code == 1
     assert payload is None
-    assert err.startswith("error: ")
-    assert str(path) in err
+    # the message names the file, and the line of a bad row
+    where = ":" if content == "t,f\n" else ", line 3:"
+    assert err.startswith(f"error: {path}{where}")
+
+
+def test_handlers_are_looked_up_per_call(capsys, monkeypatch):
+    # in-process callers share one parser; a handler rebound after the first
+    # call (a test double, a tracer) must still be the one that runs
+    assert run_cli(capsys, "cm-check", "gaussian")[0] == 0
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: ({"stub": args.n}, True, "stub"))
+    code, payload, err = run_cli(capsys, "simulate", "delta:1", "--n", "7")
+    assert code == 0
+    assert payload["results"] == {"stub": 7}
+    assert err == "stub\n"
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_exit_codes_stay_in_contract(capsys, tmp_path):

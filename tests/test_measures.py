@@ -1,10 +1,11 @@
 """Mixing measures, their transform, the mixture sampler, and marginal consistency."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
@@ -20,6 +21,7 @@ from schoenberg_lab import (
 from schoenberg_lab.measures import (
     KS_ALPHA,
     _sample,
+    draw_scales,
     ks_critical_value,
     ks_two_sample,
     resolve_measure,
@@ -148,6 +150,38 @@ def test_mass_conservation_random_measures(seed):
     w = rng.uniform(0.1, 1.0, size=len(scales))
     m = MixingMeasure(scales, w / w.sum())
     assert mixture_laplace(m, 0.0) == pytest.approx(1.0, abs=1e-9)
+
+
+def fixed_uniforms(u):
+    """A stand-in Generator whose ``random(count)`` returns a copy of ``u``."""
+    return SimpleNamespace(random=lambda count: u.copy())
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(min_value=1e-300, max_value=1.0), min_size=1, max_size=1000),
+       st.integers(min_value=0, max_value=2**31 - 1))
+@example([1.0], 0)
+@example([0.5, 0.25, 0.125, 0.125], 0)  # every cumulative weight on a bucket edge
+@example([1e-300, 1.0, 1e-300], 1)
+@example([1e-300] * 999 + [1.0], 2)
+@example([1.0] * 1000, 3)
+@example([3.0, 1e-300, 7.0, 1e-200, 1e-300, 5.0], 4)
+def test_draw_scales_is_the_inverse_cdf_search(weights, seed):
+    w = np.array(weights) / np.sum(weights)
+    measure = MixingMeasure(np.arange(len(w), dtype=float), w)
+    cum = np.cumsum(measure.weights)
+    cum[-1] = 1.0
+    # every bucket edge k/M of any guide table with M < 32 x atoms, every cumulative
+    # weight and its neighbours, both ends of [0, 1), and uniform draws
+    grid = 2 ** (32 * len(w)).bit_length()
+    u = np.concatenate([np.arange(grid) / grid, cum, np.nextafter(cum, 0.0),
+                        np.nextafter(cum, 1.0), [0.0, 1.0 - 2.0**-53],
+                        np.random.default_rng(seed).random(2000)])
+    u = u[u < 1.0]
+    expected = measure.scales[np.searchsorted(cum, u, side="right")]
+    np.testing.assert_array_equal(draw_scales(measure, len(u), fixed_uniforms(u)), expected)
+    # fewer draws than atoms: a coarser table, the same search
+    np.testing.assert_array_equal(draw_scales(measure, 3, fixed_uniforms(u[-3:])), expected[-3:])
 
 
 class TestSampling:
