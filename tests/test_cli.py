@@ -54,7 +54,7 @@ class TestCertify:
             ("exp-mixture --dim 1 --kmax 12 --trials 1000", "certified",
              -1.8822096729591637e-17, 1000, 0, 511, None, 48),
             ("triangle --dim 2", "refuted", -0.0398176996429786, 13, 0, 12,
-             -0.039817699642978543, 12),
+             -0.03981769964297856, 12),
             ("TABLE --dim 2", "inconclusive", 0.031607373466350154, 2000, 1977, 23, None, 6),
         ])
     def test_sweep_reports_are_pinned(self, capsys, tmp_path, argv, verdict, min_eigenvalue,

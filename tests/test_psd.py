@@ -29,6 +29,7 @@ from schoenberg_lab.psd import (
     _KIND_RANDOM_BOX,
     _KIND_SCALED_LATTICE,
     _N_KINDS,
+    _bottom_eigenvector,
 )
 from schoenberg_lab.rng import ROLE_TRIAL, STREAM_VERSION, substream
 
@@ -141,6 +142,49 @@ class TestQuadraticForm:
         scale = np.abs(vals).max()
         for i in (0, 3, 5):
             assert quadratic_form(g, vecs[:, i]) == pytest.approx(vals[i], abs=1e-8 * scale)
+
+
+class TestBottomEigenvector:
+    """certify's witness: inverse iteration lands on eigh's bottom eigenvector."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [2, 26, 64])
+    def test_planted_spectrum(self, k, seed):
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        vals = np.sort(rng.uniform(-1.0, 3.0, k))
+        vals[1:] = np.maximum(vals[1:], vals[0] + 1e-3)  # spectral gap >= 1e-3
+        g = (q * vals) @ q.T
+        g = (g + g.T) / 2
+        v = _bottom_eigenvector(g)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+        assert abs(v @ np.linalg.eigh(g)[1][:, 0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_repeated_bottom_eigenvalue(self):
+        # any unit vector of the bottom eigenspace is a witness
+        rng = np.random.default_rng(3)
+        q = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+        vals = np.r_[-0.5, -0.5, np.linspace(0.1, 2.0, 28)]
+        g = (q * vals) @ q.T
+        g = (g + g.T) / 2
+        v = _bottom_eigenvector(g)
+        assert np.linalg.norm(g @ v + 0.5 * v) < 1e-13
+        assert quadratic_form(g, v) == pytest.approx(-0.5, abs=1e-14)
+
+    @pytest.mark.parametrize("k", [26, 41, 64])
+    def test_symmetric_lattices(self, k):
+        # a lattice on a line is symmetric under reversal, and its bottom
+        # eigenvector is often antisymmetric: orthogonal to any start vector
+        # that is symmetric under reversal
+        tri = catalog_profile("triangle")
+        for span in np.linspace(0.5, 6.0, 12):
+            points = np.zeros((k, 2))
+            points[:, 0] = np.linspace(0.0, span, k)
+            g = gram_matrix(tri, points)
+            vals, vecs = np.linalg.eigh(g)
+            v = _bottom_eigenvector(g)
+            assert quadratic_form(g, v) == pytest.approx(vals[0], abs=1e-14)
+            assert abs(v @ vecs[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -495,7 +539,7 @@ class TestCertify:
         assert report.trials_skipped == report.trials_run - len(evaluated)
         np.testing.assert_array_equal(report.points, configs[report.trials_run - 1])
         assert report.min_eigenvalue == lowest
-        witness = np.linalg.eigh(gram_matrix(f, configs[index]))[1][:, 0]
+        witness = _bottom_eigenvector(gram_matrix(f, configs[index]))
         assert report.witness[0].tobytes() == witness.tobytes()
         distinct = {(p.shape, p.tobytes()) for p in evaluated}
         assert report.configurations_solved == len(distinct)
