@@ -184,7 +184,11 @@ def cmd_verify_identity(args) -> tuple[dict, bool, str]:
     all_pass = True
     for t, fine, (lhs_coarse, _) in zip(t_values, fines, coarses):
         sides_agree = fine.gap <= 3.0 * fine.combined_se
-        limit_improves = abs(fine.lhs - fine.f_of_t) < abs(lhs_coarse - fine.f_of_t)
+        # A fine estimate within a few ulp of f(t) has converged: at t -> 0 both
+        # estimates round to 1 while f(t) = 1 - 2^-53, and neither can improve.
+        fine_error = abs(fine.lhs - fine.f_of_t)
+        limit_improves = (fine_error < abs(lhs_coarse - fine.f_of_t)
+                          or fine_error <= 4.0 * np.finfo(float).eps * abs(fine.f_of_t))
         all_pass = all_pass and sides_agree and limit_improves
         per_t.append({
             "t": t, "lhs": fine.lhs, "rhs": fine.rhs,

@@ -59,6 +59,11 @@ class EmpiricalMeasure:
     def support(self) -> np.ndarray:
         return self.values
 
+    @property
+    def cumulative(self) -> np.ndarray:
+        """k / n for k = 0..n: the CDF once k sample points are passed is entry k."""
+        return np.arange(len(self.values) + 1) / len(self.values)
+
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.searchsorted(self.values, x, side="right") / len(self.values)
@@ -103,8 +108,10 @@ def estimate_mixing(measure: MixingMeasure, n: int = 1000, reps: int = 100_000,
     if reps < 100:
         raise ValueError("reps must be >= 100")
     rng = substream(seed, ROLE_SAMPLE)
-    scales = draw_scales(measure, reps, rng)
-    return EmpiricalMeasure(scales * rng.chisquare(n, reps) / n)
+    stat = draw_scales(measure, reps, rng)
+    stat *= rng.chisquare(n, reps)
+    stat /= n
+    return EmpiricalMeasure(stat)
 
 
 @dataclass(frozen=True)
@@ -137,7 +144,15 @@ def check_profile_measure_match(profile: RadialProfile, measure: MixingMeasure) 
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(len(values)))
+    """(mean, standard error of the mean); overwrites ``values``.
+
+    The same operations in the same order as ``values.mean()`` and
+    ``values.std(ddof=1) / sqrt(n)``, without std's replicate-size temporary.
+    """
+    mean = values.mean()
+    values -= mean
+    values *= values
+    return float(mean), float(np.sqrt(values.sum() / (len(values) - 1)) / np.sqrt(len(values)))
 
 
 def identity_lhs(profile: RadialProfile, t_values, n: int = 1000, reps: int = 100_000,
@@ -149,8 +164,11 @@ def identity_lhs(profile: RadialProfile, t_values, n: int = 1000, reps: int = 10
         raise ValueError("n must be >= 1")
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    root = np.sqrt(substream(seed, ROLE_LHS).chisquare(n, reps) / n)
-    return [_mean_and_se(profile(t * root)) for t in t_values]
+    root = substream(seed, ROLE_LHS).chisquare(n, reps)
+    root /= n
+    np.sqrt(root, out=root)
+    scaled = np.empty_like(root)  # t * root, one t at a time
+    return [_mean_and_se(profile(np.multiply(t, root, out=scaled))) for t in t_values]
 
 
 def key_identity_mc(profile: RadialProfile, measure: MixingMeasure, t_values,
@@ -170,7 +188,13 @@ def key_identity_mc(profile: RadialProfile, measure: MixingMeasure, t_values,
     rhs_rng = substream(seed, ROLE_RHS)
     rhs_scales = draw_scales(measure, reps, rhs_rng)
     rhs_chi2 = rhs_rng.chisquare(n, reps)
-    rhs = [_mean_and_se(np.exp(-0.5 * t * t * rhs_scales * rhs_chi2 / n)) for t in t_values]
+    rhs = []
+    x = np.empty_like(rhs_chi2)
+    for t in t_values:  # exp(-0.5 * t * t * rhs_scales * rhs_chi2 / n), in x
+        np.multiply(-0.5 * t * t, rhs_scales, out=x)
+        x *= rhs_chi2
+        x /= n
+        rhs.append(_mean_and_se(np.exp(x, out=x)))
     return [KeyIdentityResult(lhs=lhs_t[0], rhs=rhs_t[0], lhs_se=lhs_t[1], rhs_se=rhs_t[1],
                               f_of_t=float(profile(t)))
             for t, lhs_t, rhs_t in zip(t_values, lhs, rhs)]

@@ -63,11 +63,15 @@ class MixingMeasure:
     def support(self) -> np.ndarray:
         return self.scales
 
+    @property
+    def cumulative(self) -> np.ndarray:
+        """[0, w_1, w_1 + w_2, ..., sum w]: the CDF once k atoms are passed is entry k."""
+        return np.concatenate([[0.0], np.cumsum(self.weights)])
+
     def cdf(self, x) -> np.ndarray:
         """Right-continuous CDF evaluated at x (scalar or array)."""
         x = np.asarray(x, dtype=float)
-        cum = np.concatenate([[0.0], np.cumsum(self.weights)])
-        out = cum[np.searchsorted(self.scales, x, side="right")]
+        out = self.cumulative[np.searchsorted(self.scales, x, side="right")]
         return float(out) if x.ndim == 0 else out
 
     def to_dict(self) -> dict:
@@ -159,7 +163,8 @@ def _sample(measure: MixingMeasure, dim: int, count: int,
     """``count`` points of the dim-dimensional mixture; (count, dim) array."""
     scales = draw_scales(measure, count, scale_rng)
     noise = noise_rng.standard_normal((count, dim))
-    return np.sqrt(scales)[:, None] * noise
+    noise *= np.sqrt(scales, out=scales)[:, None]
+    return noise
 
 
 # --- catalog measures ---------------------------------------------------
@@ -238,14 +243,39 @@ class ConsistencyReport:
     passed: bool
 
 
+def merged_step_cdfs(xa, cum_a, xb, cum_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two step CDFs evaluated on their merged support.
+
+    ``xa`` and ``xb`` are sorted, ties allowed; ``cum_a[k]`` is the first CDF
+    once k points of ``xa`` are passed (so ``len(xa) + 1`` entries), and
+    ``cum_b`` likewise. Returns the distinct points of both supports in
+    increasing order and each right-continuous CDF there. A stable argsort
+    merges the two sorted runs in linear time, and each run of tied points is
+    read at its last position, where both CDFs have passed all of it.
+    """
+    merged = np.concatenate([xa, xb])
+    order = np.argsort(merged, kind="stable")
+    grid = merged[order]
+    passed_a = np.cumsum(order < len(xa), out=order)  # points of xa among the first i + 1
+    last = np.append(grid[1:] != grid[:-1], True)
+    passed = np.flatnonzero(last)
+    passed += 1
+    if len(passed) < len(grid):  # ties
+        grid, passed_a = grid[last], passed_a[last]
+    # the first CDF goes into the concatenation's memory, which nothing reads any more
+    fa = np.take(cum_a, passed_a, out=merged[:len(grid)], mode="clip")
+    passed -= passed_a  # now the points of xb passed
+    return grid, fa, cum_b[passed]
+
+
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / len(a)
-    fb = np.searchsorted(b, grid, side="right") / len(b)
-    return float(np.abs(fa - fb).max())
+    _, fa, fb = merged_step_cdfs(a, np.arange(len(a) + 1) / len(a),
+                                 b, np.arange(len(b) + 1) / len(b))
+    fa -= fb
+    return float(np.abs(fa, out=fa).max())
 
 
 def ks_critical_value(count: int) -> float:
@@ -276,12 +306,16 @@ def marginal_consistency_check(measure: MixingMeasure, dim: int, count: int = 10
     if not 0.0 < corrupt_scale < np.inf:
         raise ValueError(f"corrupt_scale must be finite and > 0, got {corrupt_scale!r}")
     y_high = _sample(measure, dim + 1, count, substream(seed, ROLE_SCALE, 0),
-                     substream(seed, ROLE_NOISE, 0)) * corrupt_scale
+                     substream(seed, ROLE_NOISE, 0))
+    y_high *= corrupt_scale
     y_low = _sample(measure, dim, count, substream(seed, ROLE_SCALE, 1),
                     substream(seed, ROLE_NOISE, 1))
     projected = y_high[:, :dim]
     ks_first = ks_two_sample(projected[:, 0], y_low[:, 0])
-    ks_norm = ks_two_sample(np.sum(projected**2, axis=1), np.sum(y_low**2, axis=1))
+    # squared in place: ks_two_sample sorted copies of the first coordinates
+    np.square(projected, out=projected)
+    np.square(y_low, out=y_low)
+    ks_norm = ks_two_sample(np.sum(projected, axis=1), np.sum(y_low, axis=1))
     crit = ks_critical_value(count)
     return ConsistencyReport(
         ks_first_coordinate=ks_first,

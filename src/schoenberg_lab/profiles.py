@@ -62,11 +62,40 @@ class RadialProfile:
         return float(out) if t.ndim == 0 else np.asarray(out)
 
 
+# Each closed form fills one array of t's shape in place: exp(-t^2 / 2),
+# exp(-t), 1 / (1 + t^2 / 2) and max(0, 1 - t), by the same operations in the
+# same order as the plain expressions, so the values match them bit for bit.
+
+
+def _gaussian(t):
+    out = np.square(t, out=np.empty(np.shape(t)))
+    np.negative(out, out=out)
+    out /= 2.0
+    return np.exp(out, out=out)
+
+
+def _cauchy(t):
+    out = np.negative(t, out=np.empty(np.shape(t)))
+    return np.exp(out, out=out)
+
+
+def _exp_mixture(t):
+    out = np.square(t, out=np.empty(np.shape(t)))
+    out /= 2.0
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
+def _triangle(t):
+    out = np.subtract(1.0, t, out=np.empty(np.shape(t)))
+    return np.maximum(0.0, out, out=out)
+
+
 _CATALOG = {
-    "gaussian": lambda t: np.exp(-np.square(t) / 2.0),
-    "cauchy": lambda t: np.exp(-t),
-    "exp-mixture": lambda t: 1.0 / (1.0 + np.square(t) / 2.0),
-    "triangle": lambda t: np.maximum(0.0, 1.0 - t),
+    "gaussian": _gaussian,
+    "cauchy": _cauchy,
+    "exp-mixture": _exp_mixture,
+    "triangle": _triangle,
 }
 
 

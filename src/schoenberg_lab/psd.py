@@ -38,10 +38,12 @@ _CHUNK = 64
 _BOX_HALFWIDTH = 3.0
 
 # Most chunks certify_psd solves at once; not part of the stream. Uncapped
-# doubling runs certify-sweep faster still but holds larger stacks: it read
-# +5.6% peak RSS in a 20 s perfbench run, a figure that includes the reports
-# perfbench keeps of every pass, and with size-class stacks it adds 3 MB of
-# transient arrays (tracemalloc peak of ``certify gaussian --dim 5``).
+# doubling holds larger stacks: with size-class stacks it adds 3 MB of
+# transient arrays (tracemalloc peak of ``certify gaussian --dim 5``). In 6
+# alternating 20 s perfbench pairs on 2 vCPUs it read certify-sweep wall_s
+# 0.282 s against 0.326 s (faster in 6 of 6) and peak RSS 91.7 MB against
+# 87.9 MB (+4.4%, a figure that includes the reports perfbench keeps of every
+# pass, so a faster run reads more).
 _BATCH_CAP = 4
 
 # certify_psd evaluates the configurations of a batch whose point counts k

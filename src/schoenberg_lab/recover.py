@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import MixingMeasure, design_matrix, mixture_laplace
+from .measures import MixingMeasure, design_matrix, merged_step_cdfs, mixture_laplace
 
 PENALTY_FACTOR = 1e3
 PRUNE_THRESHOLD = 1e-12
@@ -92,12 +92,16 @@ def nnls(A, b, maxiter: int | None = None) -> tuple[np.ndarray, float]:
     """Solve min ||Aw - b|| subject to w >= 0.
 
     Returns scipy.optimize.nnls's (w, rnorm); scipy raises RuntimeError
-    after ``maxiter`` iterations (default 3 * A's columns).
+    after ``maxiter`` iterations (default 3 * A's columns). An A with no
+    columns is solved here, as (empty w, ||b||): scipy 1.17's nnls aborts the
+    interpreter on one.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != len(b):
         raise ValueError(f"shape mismatch: A is {A.shape}, b has length {len(b)}")
+    if A.shape[1] == 0:
+        return np.zeros(0), float(np.linalg.norm(b))
     import scipy.optimize  # deferred: slow to import
 
     return scipy.optimize.nnls(A, b, maxiter=maxiter)
@@ -206,22 +210,18 @@ def _gradient(problem: RecoveryProblem, w) -> np.ndarray:
 # --- measure comparison ---------------------------------------------------
 
 
-def _merged_support(a, b) -> np.ndarray:
-    return np.union1d(np.asarray(a.support, dtype=float), np.asarray(b.support, dtype=float))
-
-
 def wasserstein1(a, b) -> float:
     """Exact W1 between two discrete measures: integral of |CDF_a - CDF_b|.
 
-    Accepts MixingMeasure or EmpiricalMeasure (anything with ``support``
-    and ``cdf``). Both CDFs are step functions, so the integral is a finite
-    sum over the merged support.
+    Accepts MixingMeasure or EmpiricalMeasure (anything with a sorted
+    ``support`` and its ``cumulative`` CDF table). Both CDFs are step
+    functions, so the integral is a finite sum over the merged support.
     """
-    grid = _merged_support(a, b)
-    return float(np.sum(np.abs(a.cdf(grid) - b.cdf(grid))[:-1] * np.diff(grid)))
+    grid, fa, fb = merged_step_cdfs(a.support, a.cumulative, b.support, b.cumulative)
+    return float(np.sum(np.abs(fa - fb)[:-1] * np.diff(grid)))
 
 
 def ks_distance(a, b) -> float:
     """Sup-norm distance of the CDFs over the merged support."""
-    grid = _merged_support(a, b)
-    return float(np.abs(a.cdf(grid) - b.cdf(grid)).max())
+    _, fa, fb = merged_step_cdfs(a.support, a.cumulative, b.support, b.cumulative)
+    return float(np.abs(fa - fb).max())

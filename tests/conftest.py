@@ -6,7 +6,7 @@ draws new examples on every run, ten times each test's ``max_examples``, to
 look for the failures that tier-1's fixed examples miss:
 
     python -m pytest -q tests/test_psd.py tests/test_recover.py tests/test_measures.py \\
-        --hypothesis-profile=explore
+        tests/test_definetti.py tests/test_profiles.py --hypothesis-profile=explore
 
 Each failing example it finds goes into its test as an ``@example``.
 """

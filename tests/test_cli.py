@@ -249,6 +249,17 @@ class TestVerifyIdentity:
         assert abs(entry["lhs"] - 1.0) <= 1e-6
         assert abs(entry["rhs"] - 1.0) <= 1e-6
 
+    def test_t_at_rounding_resolution_converges(self, capsys):
+        # lhs and lhs_coarse both round to 1.0 while f(t) = 1 - 2^-53: the fine
+        # estimate is within rounding of the limit, which counts as converged
+        code, payload, _ = run_cli(capsys, "verify-identity", "gaussian", "delta:1",
+                                   "--t", "1e-8", "--seed", "1938")
+        assert code == 0
+        [entry] = payload["results"]["per_t"]
+        assert entry["lhs"] == entry["lhs_coarse"] == 1.0
+        assert entry["f_of_t"] == 1.0 - 2.0**-53
+        assert entry["limit_improves"] and entry["sides_agree"]
+
     def test_mismatched_pair_is_error(self, capsys):
         code, payload, err = run_cli(capsys, "verify-identity", "gaussian", "exp:1",
                                      "--t", "1", "--reps", "1000", "--seed", "5")
@@ -432,6 +443,18 @@ def test_console_entry_point_subprocess(tmp_path):
     assert payload["stream_version"] == STREAM_VERSION
     assert payload["results"]["verdict"] == "certified"
     assert proc.stderr.strip()  # human summary on stderr
+
+
+def test_decompose_with_a_ridge_that_zeroes_the_coarse_solve_is_an_error():
+    # the coarse solve leaves no atoms, so a later solve has no columns; scipy's
+    # nnls aborted the interpreter on that (exit 134), so run it in a child
+    proc = subprocess.run(
+        [sys.executable, "-m", "schoenberg_lab.cli", "decompose", "gaussian", "--ridge", "1e50"],
+        capture_output=True, text=True, timeout=120, env=child_env(),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
 
 
 def test_montecarlo_commands_load_no_scipy():

@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
 from schoenberg_lab import (
@@ -17,7 +19,8 @@ from schoenberg_lab import (
     wasserstein1,
 )
 from schoenberg_lab import definetti
-from schoenberg_lab.rng import ROLE_LHS, ROLE_RHS
+from schoenberg_lab.measures import draw_scales
+from schoenberg_lab.rng import ROLE_LHS, ROLE_RHS, ROLE_SAMPLE, substream
 
 
 class TestEstimateMixing:
@@ -57,6 +60,56 @@ class TestEstimateMixing:
             estimate_mixing(dirac(1.0), n=0, reps=200)
         with pytest.raises(ValueError, match="reps must be >= 100"):
             estimate_mixing(dirac(1.0), n=10, reps=99)
+
+
+def mean_and_std_se(values) -> tuple[float, float]:
+    """(mean, standard error) as computed before ``_mean_and_se`` worked in place."""
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(len(values)))
+
+
+class TestInPlaceStatistics:
+    """The in-place statistics against the expressions they replace, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1.0 - 2.0**-53]),
+                              st.floats(min_value=-1e150, max_value=1e150)),
+                    min_size=2, max_size=300))
+    @example([1.0, 1.0])
+    @example([0.0, -0.0, 0.0])
+    @example([1e150, -1e150, 3.0])
+    def test_mean_and_se_is_mean_and_std(self, values):
+        values = np.asarray(values)
+        assert definetti._mean_and_se(values.copy()) == mean_and_std_se(values)
+
+    @pytest.mark.parametrize("size", [2, 9, 129, 1000, 100_000])
+    def test_mean_and_se_on_replicate_sized_arrays(self, size):
+        values = np.random.default_rng(size).standard_normal(size) * 3.0 + 1.0
+        assert definetti._mean_and_se(values.copy()) == mean_and_std_se(values)
+
+    @pytest.mark.parametrize("pid,measure_factory", [
+        ("gaussian", lambda: dirac(1.0)),
+        ("exp-mixture", exponential_measure),
+    ])
+    def test_key_identity_is_the_allocating_form(self, pid, measure_factory):
+        f, measure = catalog_profile(pid), measure_factory()
+        t_values, n, reps, seed = [0.3, 1.0, 1e-8, 2.9], 300, 5000, 19
+        root = np.sqrt(substream(seed, ROLE_LHS).chisquare(n, reps) / n)
+        rng = substream(seed, ROLE_RHS)
+        scales = draw_scales(measure, reps, rng)
+        chi2 = rng.chisquare(n, reps)
+        rows = key_identity_mc(f, measure, t_values, n=n, reps=reps, seed=seed)
+        for t, row in zip(t_values, rows, strict=True):
+            lhs = mean_and_std_se(f(t * root))
+            rhs = mean_and_std_se(np.exp(-0.5 * t * t * scales * chi2 / n))
+            assert (row.lhs, row.lhs_se, row.rhs, row.rhs_se) == (*lhs, *rhs)
+
+    def test_estimate_mixing_is_the_allocating_form(self):
+        measure, n, reps, seed = exponential_measure(), 100, 3000, 20
+        rng = substream(seed, ROLE_SAMPLE)
+        scales = draw_scales(measure, reps, rng)
+        oracle = np.sort(scales * rng.chisquare(n, reps) / n)
+        assert estimate_mixing(measure, n=n, reps=reps, seed=seed).values.tobytes() == \
+            oracle.tobytes()
 
 
 class TestEmpiricalMeasure:

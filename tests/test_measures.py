@@ -29,6 +29,20 @@ from schoenberg_lab.measures import (
 from schoenberg_lab.rng import ROLE_NOISE, ROLE_SCALE, STREAM_VERSION, substream
 
 
+# ties, signed zeros and negative values, among arbitrary finite floats
+SAMPLE_VALUES = st.one_of(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 3.0]),
+                          st.floats(min_value=-1e6, max_value=1e6))
+
+
+def searchsorted_ks(a, b) -> float:
+    """The two-sample KS as computed before the merge: both CDFs searched at every point."""
+    a, b = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / len(a)
+    fb = np.searchsorted(b, grid, side="right") / len(b)
+    return float(np.abs(fa - fb).max())
+
+
 def sample(measure, dim, count, seed):
     """``count`` draws of the dim-dimensional mixture, as the consistency check makes them."""
     return _sample(measure, dim, count, substream(seed, ROLE_SCALE, 0),
@@ -227,6 +241,23 @@ class TestKsHelpers:
         ours = ks_two_sample(a, b)
         assert ours == pytest.approx(ks_2samp(a, b).statistic, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SAMPLE_VALUES, min_size=1, max_size=40),
+           st.lists(SAMPLE_VALUES, min_size=1, max_size=40))
+    @example([0.0], [-0.0])
+    @example([-0.0, 0.0, -0.0], [0.0])
+    @example([1.0], [1.0, 1.0, 2.0])
+    @example([-3.0, -3.0, 2.5], [-3.0, 7.0])
+    @example([5.0], [-5.0])
+    def test_statistic_is_the_searchsorted_form_bit_for_bit(self, a, b):
+        assert ks_two_sample(a, b).hex() == searchsorted_ks(a, b).hex()
+
+    @pytest.mark.parametrize("n,m", [(10_000, 10_000), (999, 10_000), (1, 3)])
+    def test_statistic_on_drawn_samples_is_the_searchsorted_form(self, n, m):
+        rng = np.random.default_rng(n + m)
+        a, b = rng.standard_normal(n), np.round(rng.standard_normal(m), 2)  # b has ties
+        assert ks_two_sample(a, b) == searchsorted_ks(a, b)
+
     def test_critical_value(self):
         # c(0.01) = sqrt(-ln(0.005)/2) = 1.6276...
         assert ks_critical_value(10_000) == pytest.approx(
@@ -256,6 +287,24 @@ class TestConsistency:
         for dim in (0, -1):
             with pytest.raises(ValueError, match="dimension must be >= 1"):
                 marginal_consistency_check(dirac(1.0), dim)
+
+    @pytest.mark.parametrize("dim,corrupt", [(1, 1.0), (2, 1.5), (5, 1.0), (9, 1.0)])
+    def test_report_is_the_allocating_form_bit_for_bit(self, dim, corrupt):
+        # the samples, their squared norms and both statistics as the check
+        # computed them before it worked in place
+        m, count, seed = exponential_measure(), 2000, 31
+
+        def old_sample(d, i):
+            scales = draw_scales(m, count, substream(seed, ROLE_SCALE, i))
+            return np.sqrt(scales)[:, None] * substream(seed, ROLE_NOISE, i).standard_normal(
+                (count, d))
+
+        high, low = old_sample(dim + 1, 0)[:, :dim] * corrupt, old_sample(dim, 1)
+        report = marginal_consistency_check(m, dim, count=count, seed=seed,
+                                            corrupt_scale=corrupt)
+        assert report.ks_first_coordinate == ks_two_sample(high[:, 0], low[:, 0])
+        assert report.ks_squared_norm == ks_two_sample(np.sum(high**2, axis=1),
+                                                       np.sum(low**2, axis=1))
 
     def test_stream_is_pinned(self):
         # values of stream version 3, pinned exactly: any change to the

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schoenberg_lab import catalog_profile, profile_from_csv, tabulated_profile
 from schoenberg_lab.profiles import catalog_ids, resolve_profile
@@ -35,6 +37,44 @@ class TestCatalog:
     def test_unknown_id(self):
         with pytest.raises(KeyError, match="unknown profile"):
             catalog_profile("sinc")
+
+
+# The catalog's closed forms as plain numpy expressions, before each was
+# written to fill one array in place.
+PLAIN_CATALOG = {
+    "gaussian": lambda t: np.exp(-np.square(t) / 2.0),
+    "cauchy": lambda t: np.exp(-t),
+    "exp-mixture": lambda t: 1.0 / (1.0 + np.square(t) / 2.0),
+    "triangle": lambda t: np.maximum(0.0, 1.0 - t),
+}
+
+
+class TestCatalogIsThePlainExpression:
+    @pytest.mark.parametrize("pid", sorted(PLAIN_CATALOG))
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1.0 - 2.0**-53]),
+                                     st.floats(min_value=0.0, max_value=1e150)),
+                           min_size=18, max_size=18))
+    @example(values=[0.0] * 18)
+    @example(values=[-0.0, 1.0] * 9)
+    def test_bit_for_bit(self, pid, values):
+        fn = catalog_profile(pid).fn
+        t = np.asarray(values)
+        # 0-d, 1-d, and a (B, K, K) stack of distance matrices as certify passes them
+        for arg in (t[1], t, t.reshape(2, 3, 3)):
+            arg = np.array(arg)
+            before = arg.tobytes()
+            out = fn(arg)
+            expected = PLAIN_CATALOG[pid](arg)
+            assert np.shape(out) == np.shape(expected)
+            assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()
+            assert arg.tobytes() == before  # the input is left alone
+            assert not np.shares_memory(out, arg)
+
+    @pytest.mark.parametrize("pid", sorted(PLAIN_CATALOG))
+    def test_scalar_call_returns_a_float(self, pid):
+        assert catalog_profile(pid)(0.5) == float(PLAIN_CATALOG[pid](np.asarray(0.5)))
+        assert type(catalog_profile(pid)(0.5)) is float
 
 
 class TestEvaluation:

@@ -21,11 +21,13 @@ from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
 from schoenberg_lab import (
+    EmpiricalMeasure,
     MixingMeasure,
     RecoveryProblem,
     catalog_profile,
     design_matrix,
     dirac,
+    estimate_mixing,
     exponential_measure,
     ks_distance,
     levy_measure,
@@ -72,6 +74,13 @@ class TestNnls:
         assert residual <= 1e-6
         mass_near_one = w[(s >= 0.9) & (s <= 1.1)].sum()
         assert mass_near_one == pytest.approx(w.sum(), rel=1e-6)
+
+    def test_no_columns_is_solved_without_scipy(self, monkeypatch):
+        # scipy 1.17's nnls aborts the interpreter on a matrix with no columns
+        monkeypatch.setattr(scipy.optimize, "nnls", None)
+        w, rnorm = nnls(np.zeros((3, 0)), np.array([3.0, 0.0, -4.0]))
+        assert w.shape == (0,) and w.dtype == float
+        assert rnorm == 5.0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -370,11 +379,51 @@ class TestMetrics:
         assert wasserstein1(a, b) == pytest.approx(oracle, abs=1e-10)
 
     def test_metrics_accept_empirical_measures(self):
-        from schoenberg_lab import EmpiricalMeasure
-
         emp = EmpiricalMeasure(np.array([0.9, 1.0, 1.1, 1.0]))
         assert wasserstein1(emp, dirac(1.0)) == pytest.approx(0.05)
         assert ks_distance(emp, dirac(1.0)) == pytest.approx(0.25)
+
+
+# nonnegative support points, with repeats and a signed zero among them
+SUPPORT_VALUES = st.one_of(st.sampled_from([-0.0, 0.0, 0.25, 1.0, 1.0, 3.5]),
+                           st.floats(min_value=0.0, max_value=1e3))
+
+
+@st.composite
+def mixing_measures(draw):
+    scales = np.unique(draw(st.lists(SUPPORT_VALUES, min_size=1, max_size=12)))
+    weights = np.asarray(draw(st.lists(st.floats(min_value=1e-3, max_value=1.0),
+                                       min_size=len(scales), max_size=len(scales))))
+    return MixingMeasure(scales, weights / weights.sum())
+
+
+def _union_grid_metrics(a, b):
+    """(W1, KS) as first computed: both CDFs searched on np.union1d of the supports."""
+    grid = np.union1d(a.support, b.support)
+    gap = np.abs(a.cdf(grid) - b.cdf(grid))
+    return float(np.sum(gap[:-1] * np.diff(grid))), float(gap.max())
+
+
+class TestMetricsMatchTheUnionGridForm:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(SUPPORT_VALUES, min_size=1, max_size=40), mixing_measures())
+    def test_empirical_against_mixing(self, values, measure):
+        emp = EmpiricalMeasure(np.asarray(values))
+        for a, b in ((emp, measure), (measure, emp)):
+            w1, ks = _union_grid_metrics(a, b)
+            assert (wasserstein1(a, b).hex(), ks_distance(a, b).hex()) == (w1.hex(), ks.hex())
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixing_measures(), mixing_measures())
+    def test_two_mixing_measures(self, a, b):
+        w1, ks = _union_grid_metrics(a, b)
+        assert (wasserstein1(a, b).hex(), ks_distance(a, b).hex()) == (w1.hex(), ks.hex())
+
+    def test_simulate_sized_sample(self):
+        for measure in (dirac(1.0), exponential_measure(), levy_measure()):
+            emp = estimate_mixing(measure, n=1000, reps=10_000, seed=5)
+            assert (wasserstein1(emp, measure), ks_distance(emp, measure)) == \
+                _union_grid_metrics(emp, measure)
 
 
 def _random_atoms(rng, k):
