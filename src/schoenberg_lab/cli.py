@@ -112,6 +112,8 @@ def cmd_decompose(args) -> tuple[dict, bool, str]:
     _check_positive("--s-min", args.s_min)
     if not args.s_min < args.s_max < np.inf:
         raise ValueError(f"--s-max must be finite and > --s-min, got {args.s_max!r}")
+    if args.s_points < 1:
+        raise ValueError(f"--s-points must be >= 1, got {args.s_points}")
     s_grid = np.logspace(np.log10(args.s_min), np.log10(args.s_max), args.s_points)
     if args.profile not in profiles.catalog_ids() and os.path.exists(args.profile):
         if args.t_max is not None or args.t_points is not None:
@@ -122,6 +124,8 @@ def cmd_decompose(args) -> tuple[dict, bool, str]:
         args.t_max = 4.0 if args.t_max is None else args.t_max
         args.t_points = 41 if args.t_points is None else args.t_points
         _check_positive("--t-max", args.t_max)
+        if args.t_points < 1:
+            raise ValueError(f"--t-points must be >= 1, got {args.t_points}")
         t = np.linspace(0.0, args.t_max, args.t_points)
         f = profiles.resolve_profile(args.profile)(t)
     problem = recover.RecoveryProblem(t, f, s_grid, ridge=args.ridge)

@@ -64,11 +64,6 @@ class EmpiricalMeasure:
         """k / n for k = 0..n: the CDF once k sample points are passed is entry k."""
         return np.arange(len(self.values) + 1) / len(self.values)
 
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.searchsorted(self.values, x, side="right") / len(self.values)
-        return float(out) if x.ndim == 0 else out
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -68,12 +68,6 @@ class MixingMeasure:
         """[0, w_1, w_1 + w_2, ..., sum w]: the CDF once k atoms are passed is entry k."""
         return np.concatenate([[0.0], np.cumsum(self.weights)])
 
-    def cdf(self, x) -> np.ndarray:
-        """Right-continuous CDF evaluated at x (scalar or array)."""
-        x = np.asarray(x, dtype=float)
-        out = self.cumulative[np.searchsorted(self.scales, x, side="right")]
-        return float(out) if x.ndim == 0 else out
-
     def to_dict(self) -> dict:
         return {
             "label": self.label,

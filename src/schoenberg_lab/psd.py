@@ -87,13 +87,11 @@ def _distances(points: np.ndarray) -> np.ndarray:
 
     Exactly symmetric with a zero diagonal: entry (j, i) sums the squares of
     the negated differences of entry (i, j), coordinate by coordinate in the
-    same order. An axis that is zero across the whole stack is skipped: it
-    would only add exact zeros. The squares are summed in place in the
-    returned array, with one more array of its size for the differences.
+    same order. The squares are summed in place in the returned array, with
+    one more array of its size for the differences.
     """
-    nonzero = points.reshape(-1, points.shape[-1]).any(axis=0)
-    coords = np.ascontiguousarray(points.transpose(-1, *range(points.ndim - 1))[nonzero])
-    sq = (np.empty if len(coords) else np.zeros)(points.shape[:-1] + points.shape[-2:-1])
+    coords = np.ascontiguousarray(points.transpose(-1, *range(points.ndim - 1)))
+    sq = np.empty(points.shape[:-1] + points.shape[-2:-1])
     diff = np.empty_like(sq) if len(coords) > 1 else None
     for i, x in enumerate(coords):
         term = diff if i else sq

@@ -17,12 +17,14 @@ number of candidate scales. ``recover_mixing`` therefore solves on every 8th
 scale first, then on the scales within 8 grid points of that solution's
 atoms, and then checks the KKT conditions on the full grid: a scale left out
 whose objective gradient is negative beyond the solver's own accuracy joins
-the working set, and the solve repeats until no such scale is left. That
-check bounds the gradient of each scale left out by its tolerance (~1e-9),
-not the distance to the full-grid optimum: started on every 8th scale, the
-loop passes it at a fit RMS of 1.06e-9 where the full grid reaches 4.9e-14
-(exp-mixture, ridge 0). The accuracy comes from the windowed start, as the
-full-grid reference tests in ``tests/test_recover.py`` show.
+the working set, and the solve repeats until no such scale is left. The
+solves and the KKT check read the columns of one design matrix, built once
+per call. That check bounds the gradient of each scale left out by its
+tolerance (~1e-9), not the distance to the full-grid optimum: started on
+every 8th scale, the loop passes it at a fit RMS of 1.06e-9 where the full
+grid reaches 4.9e-14 (exp-mixture, ridge 0). The accuracy comes from the
+windowed start, as the full-grid reference tests in ``tests/test_recover.py``
+show.
 """
 
 from __future__ import annotations
@@ -120,9 +122,10 @@ def recover_mixing(problem: RecoveryProblem) -> RecoveryResult:
     raw solution was from unit mass.
     """
     n = len(problem.s_grid)
-    coarse = _solve_on(problem, np.arange(0, n, COARSE_STRIDE))
+    A = design_matrix(problem.t_grid, problem.s_grid)
+    coarse = _solve_on(problem, A, np.arange(0, n, COARSE_STRIDE))
     working = _windows(np.flatnonzero(coarse), n)
-    w, working, violation, tolerance = _solve_to_kkt(problem, working)
+    w, working, violation, tolerance = _solve_to_kkt(problem, A, working)
 
     keep = w > PRUNE_THRESHOLD
     if not np.any(keep):
@@ -138,18 +141,18 @@ def recover_mixing(problem: RecoveryProblem) -> RecoveryResult:
                           columns_solved=len(working))
 
 
-def _solve_on(problem: RecoveryProblem, columns) -> np.ndarray:
+def _solve_on(problem: RecoveryProblem, A: np.ndarray, columns) -> np.ndarray:
     """The penalised problem solved on ``columns`` of the scale grid; zero weight elsewhere.
 
     One matrix holds the system handed to ``nnls``: those columns of the
-    design matrix, the penalty row under them and, at ridge > 0 only,
+    design matrix ``A``, the penalty row under them and, at ridge > 0 only,
     sqrt(ridge) * I under that. Every solve gets the iteration budget of a full-grid solve, 3 per
     grid scale: a coarse grid can take Lawson-Hanson more iterations than
     its own 3 per column.
     """
     m, n, k = len(problem.t_grid), len(problem.s_grid), len(columns)
     rows = np.zeros((m + 1 + (k if problem.ridge > 0 else 0), k))
-    rows[:m] = design_matrix(problem.t_grid, problem.s_grid[columns])
+    np.take(A, columns, axis=1, out=rows[:m], mode="clip")  # "raise" would buffer out
     rows[m] = PENALTY_FACTOR
     np.fill_diagonal(rows[m + 1:], np.sqrt(problem.ridge))
     rhs = np.zeros(len(rows))
@@ -165,7 +168,7 @@ def _windows(atoms, n: int) -> np.ndarray:
     return np.unique(np.clip(near, 0, n - 1))
 
 
-def _solve_to_kkt(problem: RecoveryProblem, working):
+def _solve_to_kkt(problem: RecoveryProblem, A: np.ndarray, working):
     """Solve on ``working`` and add scales until the KKT conditions hold on the full grid.
 
     The objective is 0.5 (||Aw - f||^2 + (p sum(w) - p)^2 + ridge ||w||^2)
@@ -182,8 +185,8 @@ def _solve_to_kkt(problem: RecoveryProblem, working):
     """
     p, n = PENALTY_FACTOR, len(problem.s_grid)
     while True:
-        w = _solve_on(problem, working)
-        grad = _gradient(problem, w)
+        w = _solve_on(problem, A, working)
+        grad = A.T @ (A @ w - problem.f_values) + p * (p * w.sum() - p) + problem.ridge * w
         solved, atoms = grad[working], w[working] > 0
         tolerance = float(p * np.spacing(p) + max(np.abs(solved[atoms]).max(initial=0.0),
                                                   -solved[~atoms].min(initial=0.0)))
@@ -194,17 +197,6 @@ def _solve_to_kkt(problem: RecoveryProblem, working):
             violation = max(0.0, -float(grad[w == 0].min(initial=0.0)))
             return w, working, violation, tolerance
         working = np.union1d(working, entering)
-
-
-def _gradient(problem: RecoveryProblem, w) -> np.ndarray:
-    """The objective's gradient at w over the full grid.
-
-    The full design matrix is built here, after a solve has released its
-    matrices, so the two never take memory at the same time.
-    """
-    A = design_matrix(problem.t_grid, problem.s_grid)
-    p = PENALTY_FACTOR
-    return A.T @ (A @ w - problem.f_values) + p * (p * w.sum() - p) + problem.ridge * w
 
 
 # --- measure comparison ---------------------------------------------------

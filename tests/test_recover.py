@@ -3,7 +3,8 @@
 ``nnls`` delegates to scipy.optimize.nnls, so the tests check what it adds
 (the shape check) and the KKT conditions of its output. ``_solve_on``
 assembles the penalised system (design columns, penalty row, ridge rows)
-and must match scipy on explicitly stacked rows bit for bit; decompose's
+from the design matrix that ``recover_mixing`` builds once per call, and
+must match scipy on explicitly stacked rows bit for bit; decompose's
 reports are matched against one scipy solve on the whole scale grid.
 Forward-model constructions provide the recovery truths.
 """
@@ -111,7 +112,8 @@ class TestNnls:
         t, s = np.linspace(0.0, 4.0, 41), default_s_grid()
         f = catalog_profile("exp-mixture")(t)
         columns = np.arange(0, len(s), 3)
-        ours = recover._solve_on(RecoveryProblem(t, f, s, ridge=ridge), columns)
+        ours = recover._solve_on(RecoveryProblem(t, f, s, ridge=ridge), design_matrix(t, s),
+                                 columns)
         theirs = np.zeros(len(s))
         theirs[columns] = full_grid_nnls(design_matrix(t, s[columns]), f, ridge)
         assert np.count_nonzero(ours) > 1
@@ -205,12 +207,34 @@ class TestRecoverMixing:
         reference = full_grid_nnls(a, f, ridge)
         start = np.setdiff1d(np.arange(0, len(s), 8), np.flatnonzero(reference))
         w, working, violation, tolerance = recover._solve_to_kkt(
-            RecoveryProblem(t, f, s, ridge=ridge), start)
+            RecoveryProblem(t, f, s, ridge=ridge), a, start)
         assert len(working) > len(start)
         assert violation <= tolerance
         theirs = penalised_objective(a, f, ridge, reference)
         ours = penalised_objective(a, f, ridge, w)
         assert ours <= theirs * (1 + OBJECTIVE_RTOL) + OBJECTIVE_ATOL
+
+    @pytest.mark.parametrize("pid,ridge,m,n,solves", [
+        ("exp-mixture", 1e-7, 161, 961, 2),  # the benchmark's fine grid
+        ("cauchy", 0.0, 81, 481, 3),  # a KKT round adds scales
+    ])
+    def test_design_matrix_is_built_once_per_call(self, monkeypatch, pid, ridge, m, n, solves):
+        # every solve and every KKT round reads the columns of one design matrix
+        counts = {"design_matrix": 0, "nnls": 0}
+
+        def counted(name):
+            original = getattr(recover, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(recover, name, call)
+
+        counted("design_matrix")
+        counted("nnls")
+        t, s = np.linspace(0.0, 4.0, m), np.logspace(-3.0, 3.0, n)
+        recover_mixing(RecoveryProblem(t, catalog_profile(pid)(t), s, ridge=ridge))
+        assert counts == {"design_matrix": 1, "nnls": solves}
 
     def test_coarse_solve_gets_the_full_grid_iteration_budget(self):
         # (1 + t) e^{-t} on 81 x 481 at ridge 0: Lawson-Hanson on the 61
@@ -397,10 +421,15 @@ def mixing_measures(draw):
     return MixingMeasure(scales, weights / weights.sum())
 
 
+def _step_cdf(measure, x):
+    """The measure's right-continuous CDF at x, read from its cumulative table."""
+    return measure.cumulative[np.searchsorted(measure.support, x, side="right")]
+
+
 def _union_grid_metrics(a, b):
     """(W1, KS) as first computed: both CDFs searched on np.union1d of the supports."""
     grid = np.union1d(a.support, b.support)
-    gap = np.abs(a.cdf(grid) - b.cdf(grid))
+    gap = np.abs(_step_cdf(a, grid) - _step_cdf(b, grid))
     return float(np.sum(gap[:-1] * np.diff(grid))), float(gap.max())
 
 
