@@ -15,6 +15,9 @@ id                    f(t)                        mixture representation
 The triangle entry is deliberately not a Gaussian scale mixture; it is the
 standard counterexample the certification tools are expected to catch in
 dimension >= 2.
+
+Samples (t_j, f_j), from a ``t,f`` CSV or a caller, pass ``check_samples``:
+the one rule for a profile table, shared by tabulated profiles and recovery.
 """
 
 from __future__ import annotations
@@ -114,27 +117,30 @@ def catalog_profile(profile_id: str) -> RadialProfile:
     return RadialProfile(profile_id, fn)
 
 
-def tabulated_profile(t_nodes, f_nodes, label: str = "tabulated") -> RadialProfile:
-    """Profile from sorted samples (t_j, f_j).
+def check_samples(t, f) -> tuple[np.ndarray, np.ndarray]:
+    """Samples (t_j, f_j) as nonempty, equal-length, finite 1-d float arrays whose t starts
+    at 0 and strictly increases, with f >= 0 and |f(0) - 1| <= NORMALIZATION_TOL."""
+    t, f = np.asarray(t, dtype=float), np.asarray(f, dtype=float)
+    if t.ndim != 1 or t.shape != f.shape or t.size == 0 or not np.isfinite([t, f]).all():
+        raise ValueError("t and f must be nonempty, equal-length, finite 1-d arrays")
+    if t[0] != 0.0 or np.any(np.diff(t) <= 0):
+        raise ValueError("t must start at 0 and be strictly increasing")
+    if np.any(f < 0):
+        raise ValueError("f must be nonnegative")
+    if abs(f[0] - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"f at t=0 must be 1 within {NORMALIZATION_TOL}, got {float(f[0])!r}")
+    return t, f
 
-    The first node must be exactly (0, 1). Interpolation is shape-preserving
-    piecewise cubic (PCHIP) clamped at zero; evaluation past the last node
-    raises instead of extrapolating.
+
+def tabulated_profile(t_nodes, f_nodes, label: str = "tabulated") -> RadialProfile:
+    """Profile from samples (t_j, f_j) that pass ``check_samples``, at least two of them.
+
+    Interpolation is shape-preserving piecewise cubic (PCHIP) clamped at
+    zero; evaluation past the last node raises instead of extrapolating.
     """
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    f_nodes = np.asarray(f_nodes, dtype=float)
-    if t_nodes.ndim != 1 or t_nodes.shape != f_nodes.shape:
-        raise ValueError("t and f node arrays must be 1-d and equal length")
+    t_nodes, f_nodes = check_samples(t_nodes, f_nodes)
     if len(t_nodes) < 2:
-        raise ValueError("need at least two nodes")
-    if not (np.all(np.isfinite(t_nodes)) and np.all(np.isfinite(f_nodes))):
-        raise ValueError("nodes must be finite")
-    if np.any(np.diff(t_nodes) <= 0):
-        raise ValueError("t nodes must be strictly increasing")
-    if t_nodes[0] != 0.0 or f_nodes[0] != 1.0:
-        raise ValueError("first node must be t=0, f=1")
-    if np.any(f_nodes < 0):
-        raise ValueError("f nodes must be nonnegative")
+        raise ValueError(f"{label}: need at least two nodes")
     from scipy.interpolate import PchipInterpolator  # deferred: slow to import
 
     interp = PchipInterpolator(t_nodes, f_nodes, extrapolate=False)
@@ -142,9 +148,9 @@ def tabulated_profile(t_nodes, f_nodes, label: str = "tabulated") -> RadialProfi
 
 
 def read_tf_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """The (t, f) columns of a CSV with header ``t,f`` and at least one data row.
+    """The (t, f) columns of a CSV with header ``t,f``, checked by ``check_samples``.
 
-    Blank lines are skipped; a row that does not start with two finite numbers is an error.
+    Blank lines are skipped. Every error names the file, and the line of a bad row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -163,10 +169,10 @@ def read_tf_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 raise ValueError(f"{path}, line {reader.line_num}: "
                                  f"expected two finite numbers t,f, got {row!r}")
             rows.append((t, f))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    t, f = map(np.asarray, zip(*rows))
-    return t, f
+    try:
+        return check_samples(*np.reshape(rows, (-1, 2)).T)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def profile_from_csv(path) -> RadialProfile:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import MixingMeasure, design_matrix, merged_step_cdfs, mixture_laplace
+from .profiles import NORMALIZATION_TOL, check_samples
 
 PENALTY_FACTOR = 1e3
 PRUNE_THRESHOLD = 1e-12
@@ -48,7 +49,8 @@ def default_s_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class RecoveryProblem:
-    """Profile samples plus the scale grid to recover atoms on."""
+    """Samples that pass ``profiles.check_samples`` (one will do) with no f above
+    1 + NORMALIZATION_TOL, plus the scale grid to recover atoms on."""
 
     t_grid: np.ndarray
     f_values: np.ndarray
@@ -56,21 +58,12 @@ class RecoveryProblem:
     ridge: float = 0.0
 
     def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
-        f = np.asarray(self.f_values, dtype=float)
-        s = np.asarray(self.s_grid, dtype=float)
-        if t.ndim != 1 or t.shape != f.shape or len(t) == 0:
-            raise ValueError("t_grid and f_values must be equal-length 1-d arrays")
-        if s.ndim != 1 or len(s) == 0:
-            raise ValueError("s_grid must be a nonempty 1-d array")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(f)) and np.all(np.isfinite(s))):
-            raise ValueError("grids and values must be finite")
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise ValueError("t_grid must be strictly increasing and include 0")
-        if abs(f[0] - 1.0) > 1e-9:
-            raise ValueError(f"f at t=0 must be 1, got {f[0]!r}")
-        if np.any(f < 0) or np.any(f > 1 + 1e-12):
+        t, f = check_samples(self.t_grid, self.f_values)
+        if np.any(f > 1 + NORMALIZATION_TOL):  # a scale mixture's transform is at most 1
             raise ValueError("f values must lie in [0, 1]")
+        s = np.asarray(self.s_grid, dtype=float)
+        if s.ndim != 1 or len(s) == 0 or not np.all(np.isfinite(s)):
+            raise ValueError("s_grid must be a nonempty, finite 1-d array")
         if np.any(s <= 0) or np.any(np.diff(s) <= 0):
             raise ValueError("s_grid must be strictly increasing and positive")
         if not (np.isfinite(self.ridge) and self.ridge >= 0):

@@ -17,8 +17,6 @@ anew for the i-th t at seed + i; row 0 of its report is unchanged.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 STREAM_VERSION = 4
@@ -49,5 +47,7 @@ def parallel_map(fn, n_items: int, threads: int = 1) -> list:
     """
     if threads <= 1 or n_items <= 1:
         return [fn(i) for i in range(n_items)]
+    from concurrent.futures import ThreadPoolExecutor  # deferred: most runs use one thread
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n_items)))

@@ -508,10 +508,47 @@ print(json.dumps({"codes": codes, "scipy": sorted(
     assert out["scipy"] == []
 
 
+def test_decompose_reads_samples_without_interpolating(tmp_path):
+    # a samples CSV goes straight to the recovery problem, never through a
+    # tabulated (interpolated) profile
+    script = """
+import contextlib, io, json, sys
+from schoenberg_lab import cli
+with open(sys.argv[1], "w") as fh:
+    fh.write("t,f\\n0,1\\n0.5,0.8825\\n1,0.6065\\n")
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(["decompose", sys.argv[1]])
+print(json.dumps({"code": code, "scipy": sorted(
+    m for m in sys.modules if m in ("scipy.optimize", "scipy.interpolate"))}))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "samples.csv")],
+                          capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 0, "scipy": ["scipy.optimize"]}
+
+
+def test_cli_import_loads_no_thread_pool():
+    # parallel_map builds its pool only for threads > 1, so importing the CLI
+    # leaves concurrent.futures (and the logging it imports) unloaded
+    script = ("import json, sys, schoenberg_lab.cli; print(json.dumps(sorted("
+              "m for m in ('concurrent.futures', 'logging') if m in sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+# every row parses but the table breaks the t,f rule: the error names only the file
+TABLE_ERRORS = {"t,f\n": "header-only", "t,f\n0.1,1\n1,0.4\n": "t-not-from-0",
+                "t,f\n0,1\n1,0.5\n0.5,0.8\n": "decreasing-t",
+                "t,f\n0,0.9\n0.5,0.8\n1,0.4\n": "f0-not-1", "t,f\n0,1\n0.5,-0.1\n1,0\n": "negative-f"}
+
+
 @pytest.mark.parametrize("command", ["certify", "decompose", "cm-check"])
-@pytest.mark.parametrize("content", ["t,f\n0,1\n0.5\n1,0.4\n", "t,f\n", "t,f\n0,1\n0.5,abc\n",
-                                     "t,f\n0,1\n0.5,nan\n1,0.4\n", "t,f\n0,1\ninf,0.5\n"],
-                         ids=["short-row", "header-only", "non-numeric", "nan", "inf"])
+@pytest.mark.parametrize("content", ["t,f\n0,1\n0.5\n1,0.4\n", "t,f\n0,1\n0.5,abc\n",
+                                     "t,f\n0,1\n0.5,nan\n1,0.4\n", "t,f\n0,1\ninf,0.5\n",
+                                     *TABLE_ERRORS],
+                         ids=["short-row", "non-numeric", "nan", "inf", *TABLE_ERRORS.values()])
 def test_malformed_profile_csv_is_usage_error(capsys, tmp_path, command, content):
     path = tmp_path / "profile.csv"
     path.write_text(content)
@@ -520,8 +557,28 @@ def test_malformed_profile_csv_is_usage_error(capsys, tmp_path, command, content
     assert code == 1
     assert payload is None
     # the message names the file, and the line of a bad row
-    where = ":" if content == "t,f\n" else ", line 3:"
+    where = ": " if content in TABLE_ERRORS else ", line 3:"
     assert err.startswith(f"error: {path}{where}")
+    assert "np.float64" not in err
+
+
+@pytest.mark.parametrize("f0, accepted", [(1 - 5e-13, True), (1 - 1e-10, False)])
+def test_every_command_takes_one_f0_tolerance(capsys, tmp_path, f0, accepted):
+    # certify, cm-check and decompose read a t,f file by one rule: f(0) = 1 within 1e-12
+    path = tmp_path / "profile.csv"
+    path.write_text(f"t,f\n0,{f0!r}\n0.5,0.8825\n1,0.6065\n")
+    errors = set()
+    for argv in (["certify", str(path), "--dim", "1", "--trials", "10"],
+                 ["cm-check", str(path), "--u-max", "0.5", "--max-order", "2"],
+                 ["decompose", str(path)]):
+        code, payload, err = run_cli(capsys, *argv)
+        if accepted:
+            assert code in (0, 2) and payload is not None, (argv, err)
+        else:
+            assert code == 1 and payload is None, argv
+            errors.add(err)
+    if not accepted:
+        assert errors == {f"error: {path}: f at t=0 must be 1 within 1e-12, got {f0!r}\n"}
 
 
 def test_handlers_are_looked_up_per_call(capsys, monkeypatch):

@@ -115,9 +115,9 @@ class TestTabulated:
             f(2.5)
 
     def test_requires_leading_unit_node(self):
-        with pytest.raises(ValueError, match="t=0, f=1"):
+        with pytest.raises(ValueError, match="t must start at 0"):
             tabulated_profile([0.5, 1.0], [1.0, 0.5])
-        with pytest.raises(ValueError, match="t=0, f=1"):
+        with pytest.raises(ValueError, match="f at t=0 must be 1"):
             tabulated_profile([0.0, 1.0], [0.9, 0.5])
 
     def test_requires_sorted_nodes(self):

@@ -186,7 +186,7 @@ class TestRecoverMixing:
         assert wasserstein1(result.measure, dirac(4.0)) <= 0.1
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="include 0"):
+        with pytest.raises(ValueError, match="t must start at 0"):
             RecoveryProblem(np.array([1.0, 2.0]), np.array([0.5, 0.2]))
         with pytest.raises(ValueError, match="must be 1"):
             RecoveryProblem(np.array([0.0, 1.0]), np.array([0.9, 0.5]))
