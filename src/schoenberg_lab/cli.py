@@ -56,8 +56,8 @@ def emit_report(command: str, config: dict, results: dict, passed: bool | None,
         "pass": passed,
         "wall_time_ms": int((time.monotonic() - started) * 1000),
     }
-    # json.dumps encodes in C; json.dump would take the pure-Python encoder
-    sys.stdout.write(json.dumps(report, default=_numpy_to_json) + "\n")
+    # json.dumps encodes in C (json.dump would not); allow_nan=False keeps reports strict JSON
+    sys.stdout.write(json.dumps(report, default=_numpy_to_json, allow_nan=False) + "\n")
 
 
 def _resolve_threads(args) -> int:
@@ -86,9 +86,10 @@ def cmd_certify(args) -> tuple[dict, bool, str]:
     report = psd.certify_psd(profile, dim=args.dim, trials=args.trials,
                              k_max=args.kmax, tol=args.tol, seed=args.seed,
                              threads=_resolve_threads(args))
+    evaluated = report.trials_run > report.trials_skipped  # else min_eigenvalue is NaN
     results = {
         "verdict": report.verdict,
-        "min_eigenvalue": report.min_eigenvalue,
+        "min_eigenvalue": report.min_eigenvalue if evaluated else None,
         "trials_run": report.trials_run,
         "trials_skipped": report.trials_skipped,
         "configurations_solved": report.configurations_solved,
@@ -102,8 +103,9 @@ def cmd_certify(args) -> tuple[dict, bool, str]:
             "coefficients": coeffs,
             "quadratic_form": value,
         }
+    worst = f"min eigenvalue {report.min_eigenvalue:.3e}" if evaluated else "no trial evaluated"
     summary = (f"certify {profile.label} in R^{args.dim}: {report.verdict} "
-               f"(min eigenvalue {report.min_eigenvalue:.3e}, {report.trials_run} trials)")
+               f"({worst}, {report.trials_run} trials)")
     return results, report.certified, summary
 
 

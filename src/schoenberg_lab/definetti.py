@@ -14,9 +14,10 @@ converge to f(t) as n grows.
 Every replicated statistic depends on its n Gaussian draws only through
 sum Z_i^2, whose law is exactly chi-square with n degrees of freedom, so
 each replicate draws that one number instead of n normals: the LLN
-statistic is S chi^2_n / n, the left side f(t sqrt(chi^2_n / n)) and the
-right side exp(-t^2 S chi^2_n / (2n)). None of these draws depends on t, so
-one set of replicates per sample size n serves every t.
+statistic is L = S chi^2_n / n, the left side f(t sqrt(chi^2_n / n)) and
+the right side exp(-t^2 L / 2), the transform of L's law. None of these
+draws depends on t, so one set of replicates per sample size n serves
+every t.
 
 All simulated statistics are finite by construction; the degenerate
 infinite-limit event has no finite-sample counterpart here.
@@ -102,11 +103,15 @@ def estimate_mixing(measure: MixingMeasure, n: int = 1000, reps: int = 100_000,
         raise ValueError("n must be >= 1")
     if reps < 100:
         raise ValueError("reps must be >= 100")
-    rng = substream(seed, ROLE_SAMPLE)
+    return EmpiricalMeasure(_lln_statistic(measure, n, reps, substream(seed, ROLE_SAMPLE)))
+
+
+def _lln_statistic(measure: MixingMeasure, n: int, reps: int, rng: np.random.Generator):
+    """``reps`` draws of L = S chi^2_n / n: the scales S first, then chi^2_n, from ``rng``."""
     stat = draw_scales(measure, reps, rng)
     stat *= rng.chisquare(n, reps)
     stat /= n
-    return EmpiricalMeasure(stat)
+    return stat
 
 
 @dataclass(frozen=True)
@@ -172,24 +177,18 @@ def key_identity_mc(profile: RadialProfile, measure: MixingMeasure, t_values,
 
     lhs averages f(sqrt((1/n) sum X_i^2)) over i.i.d. N(0, t^2) probes;
     rhs averages exp(-(t^2/2n) sum Y_i^2) over exchangeable draws from the
-    measure. Each side draws once and evaluates every t, so equal t give
-    equal results. The two sides are independent substreams of ``seed``;
+    measure, that is exp(-t^2 L / 2) over draws of the LLN statistic L.
+    Each side draws once and evaluates every t, so equal t give equal
+    results. The two sides are independent substreams of ``seed``;
     the comparison is an equality of expectations, not a pathwise coupling.
     """
     check_profile_measure_match(profile, measure)
     # identity_lhs checks t, n and reps before the first draw, and its draws
     # are freed before the right side's are made
     lhs = identity_lhs(profile, t_values, n=n, reps=reps, seed=seed)
-    rhs_rng = substream(seed, ROLE_RHS)
-    rhs_scales = draw_scales(measure, reps, rhs_rng)
-    rhs_chi2 = rhs_rng.chisquare(n, reps)
-    rhs = []
-    x = np.empty_like(rhs_chi2)
-    for t in t_values:  # exp(-0.5 * t * t * rhs_scales * rhs_chi2 / n), in x
-        np.multiply(-0.5 * t * t, rhs_scales, out=x)
-        x *= rhs_chi2
-        x /= n
-        rhs.append(_mean_and_se(np.exp(x, out=x)))
+    stat = _lln_statistic(measure, n, reps, substream(seed, ROLE_RHS))
+    x = np.empty_like(stat)  # exp(-0.5 * t * t * stat), one t at a time
+    rhs = [_mean_and_se(np.exp(np.multiply(-0.5 * t * t, stat, out=x), out=x)) for t in t_values]
     return [KeyIdentityResult(lhs=lhs_t[0], rhs=rhs_t[0], lhs_se=lhs_t[1], rhs_se=rhs_t[1],
                               f_of_t=float(profile(t)))
             for t, lhs_t, rhs_t in zip(t_values, lhs, rhs)]

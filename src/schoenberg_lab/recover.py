@@ -14,17 +14,18 @@ by exact renormalization.
 
 Lawson-Hanson adds about one atom per iteration, so its cost grows with the
 number of candidate scales. ``recover_mixing`` therefore solves on every 8th
-scale first, then on the scales within 8 grid points of that solution's
-atoms, and then checks the KKT conditions on the full grid: a scale left out
-whose objective gradient is negative beyond the solver's own accuracy joins
-the working set, and the solve repeats until no such scale is left. The
-solves and the KKT check read the columns of one design matrix, built once
-per call. That check bounds the gradient of each scale left out by its
-tolerance (~1e-9), not the distance to the full-grid optimum: started on
-every 8th scale, the loop passes it at a fit RMS of 1.06e-9 where the full
-grid reaches 4.9e-14 (exp-mixture, ridge 0). The accuracy comes from the
-windowed start, as the full-grid reference tests in ``tests/test_recover.py``
-show.
+scale first, then on the scales within that stride of its atoms, and then
+checks the KKT conditions on the full grid: a scale left out whose objective
+gradient is negative beyond the solver's own accuracy joins the working set,
+and the solve repeats until no such scale is left. The solves, the KKT check
+and the reported fit read only one design matrix, built once per call, so
+the staged solve runs unchanged on any kernel matrix ``_solve_on`` accepts,
+such as Schoenberg's Omega_n(rt). The KKT check bounds the gradient of
+each scale left out by its tolerance (~1e-9), not the distance to the
+full-grid optimum: started on every 8th scale, the loop passes it at a fit
+RMS of 1.06e-9 where the full grid reaches 4.9e-14 (exp-mixture, ridge 0).
+The accuracy comes from the windowed start, as the full-grid reference
+tests in ``tests/test_recover.py`` show.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import MixingMeasure, design_matrix, merged_step_cdfs, mixture_laplace
+from .measures import MixingMeasure, design_matrix, merged_step_cdfs
 from .profiles import NORMALIZATION_TOL, check_samples
 
 PENALTY_FACTOR = 1e3
 PRUNE_THRESHOLD = 1e-12
-COARSE_STRIDE = 8  # the first solve runs on every 8th scale
-WINDOW = 8  # the second on the scales within 8 grid points of its atoms
+COARSE_STRIDE = 8  # the first solve runs on every 8th scale, the second within 8 of its atoms
 
 
 def default_s_grid() -> np.ndarray:
@@ -105,85 +105,82 @@ def nnls(A, b, maxiter: int | None = None) -> tuple[np.ndarray, float]:
 def recover_mixing(problem: RecoveryProblem) -> RecoveryResult:
     """Solve the inverse problem and package the result as a MixingMeasure.
 
-    A penalty row of ones, weighted by PENALTY_FACTOR * max|A| =
-    PENALTY_FACTOR (the t = 0 row of A is all ones and no entry exceeds
-    1), softly enforces total mass 1 during the solve. The solve runs on a
-    coarse grid, then on windows around its atoms, then to KKT on the full
-    grid (module docstring). Atoms below the pruning threshold are dropped
-    and the output weights renormalized exactly, so the returned measure is
-    always a valid probability measure; ``mass_deficit`` records how far the
-    raw solution was from unit mass.
+    The solve runs on a coarse grid, then on windows around its atoms, then
+    to KKT on the full grid (module docstring). Atoms below the pruning
+    threshold are dropped and the output weights renormalized exactly, so
+    the returned measure is always a valid probability measure;
+    ``mass_deficit`` records how far the raw solution was from unit mass.
     """
-    n = len(problem.s_grid)
-    A = design_matrix(problem.t_grid, problem.s_grid)
-    coarse = _solve_on(problem, A, np.arange(0, n, COARSE_STRIDE))
-    working = _windows(np.flatnonzero(coarse), n)
-    w, working, violation, tolerance = _solve_to_kkt(problem, A, working)
+    s, f = problem.s_grid, problem.f_values
+    A = design_matrix(problem.t_grid, s)
+    coarse = _solve_on(A, f, problem.ridge, np.arange(0, len(s), COARSE_STRIDE))
+    working = _windows(np.flatnonzero(coarse), len(s))
+    w, working, violation, tolerance = _solve_to_kkt(A, f, problem.ridge, working)
 
     keep = w > PRUNE_THRESHOLD
     if not np.any(keep):
         raise ValueError("recovered measure has no atoms above the pruning threshold")
-    scales = problem.s_grid[keep]
     weights = w[keep]
     deficit = abs(1.0 - float(weights.sum()))
-    measure = MixingMeasure(scales, weights / weights.sum(), label="recovered")
-    fitted = mixture_laplace(measure, problem.t_grid)
-    residual = float(np.sqrt(np.mean(np.square(fitted - problem.f_values))))
+    measure = MixingMeasure(s[keep], weights / weights.sum(), label="recovered")
+    residual = float(np.sqrt(np.mean(np.square(A[:, keep] @ measure.weights - f))))
     return RecoveryResult(measure=measure, residual_norm=residual, mass_deficit=deficit,
                           kkt_violation=violation, kkt_tolerance=tolerance,
                           columns_solved=len(working))
 
 
-def _solve_on(problem: RecoveryProblem, A: np.ndarray, columns) -> np.ndarray:
-    """The penalised problem solved on ``columns`` of the scale grid; zero weight elsewhere.
+def _solve_on(A: np.ndarray, f: np.ndarray, ridge: float, columns) -> np.ndarray:
+    """The penalised problem min ||Aw - f|| on ``columns`` of ``A``; zero weight elsewhere.
 
-    One matrix holds the system handed to ``nnls``: those columns of the
-    design matrix ``A``, the penalty row under them and, at ridge > 0 only,
-    sqrt(ridge) * I under that. Every solve gets the iteration budget of a full-grid solve, 3 per
-    grid scale: a coarse grid can take Lawson-Hanson more iterations than
-    its own 3 per column.
+    Precondition: no entry of ``A`` exceeds 1 in magnitude and one row is
+    all ones (the Gaussian's and Omega_n(rt)'s row at t = 0), so a penalty
+    row of PENALTY_FACTOR softly enforces total mass 1. One matrix holds the
+    system handed to ``nnls``: those columns of A, the penalty row under them
+    and, at ridge > 0 only, sqrt(ridge) * I under that. Every solve gets the
+    iteration budget of a full solve, 3 per column of A: a coarse grid can
+    take Lawson-Hanson more iterations than its own 3 per column.
     """
-    m, n, k = len(problem.t_grid), len(problem.s_grid), len(columns)
-    rows = np.zeros((m + 1 + (k if problem.ridge > 0 else 0), k))
+    (m, n), k = A.shape, len(columns)
+    rows = np.zeros((m + 1 + (k if ridge > 0 else 0), k))
     np.take(A, columns, axis=1, out=rows[:m], mode="clip")  # "raise" would buffer out
     rows[m] = PENALTY_FACTOR
-    np.fill_diagonal(rows[m + 1:], np.sqrt(problem.ridge))
+    np.fill_diagonal(rows[m + 1:], np.sqrt(ridge))
     rhs = np.zeros(len(rows))
-    rhs[:m], rhs[m] = problem.f_values, PENALTY_FACTOR
+    rhs[:m], rhs[m] = f, PENALTY_FACTOR
     w = np.zeros(n)
     w[columns], _ = nnls(rows, rhs, maxiter=3 * n)
     return w
 
 
 def _windows(atoms, n: int) -> np.ndarray:
-    """Sorted grid indices within WINDOW points of any of ``atoms``."""
-    near = np.add.outer(atoms, np.arange(-WINDOW, WINDOW + 1))
+    """Sorted indices within one COARSE_STRIDE of any of ``atoms``: the scales they stand for."""
+    near = np.add.outer(atoms, np.arange(-COARSE_STRIDE, COARSE_STRIDE + 1))
     return np.unique(np.clip(near, 0, n - 1))
 
 
-def _solve_to_kkt(problem: RecoveryProblem, A: np.ndarray, working):
-    """Solve on ``working`` and add scales until the KKT conditions hold on the full grid.
+def _solve_to_kkt(A: np.ndarray, f: np.ndarray, ridge: float, working):
+    """Solve on ``working`` and add columns of A until the KKT conditions hold on all of them.
 
     The objective is 0.5 (||Aw - f||^2 + (p sum(w) - p)^2 + ridge ||w||^2)
     with p = PENALTY_FACTOR, and w >= 0 is optimal when its gradient is zero
-    on the atoms and nonnegative on the zero atoms. A scale outside the
+    on the atoms and nonnegative on the zero atoms. A column outside the
     working set joins it when its gradient is below -tolerance, where
     tolerance is the solve's own KKT residual on the working set plus the
     gradient of one rounding unit in the penalty row's residual,
-    p * spacing(p). Each round adds a scale, so the loop ends, at the latest
-    with the whole grid.
+    p * spacing(p). Each round adds a column, so the loop ends, at the
+    latest with all of A.
 
-    Returns (w on the full grid, final working set, the largest violation
+    Returns (w over A's columns, final working set, the largest violation
     max(0, -gradient) over zero atoms, the tolerance it was judged against).
     """
-    p, n = PENALTY_FACTOR, len(problem.s_grid)
+    p = PENALTY_FACTOR
     while True:
-        w = _solve_on(problem, A, working)
-        grad = A.T @ (A @ w - problem.f_values) + p * (p * w.sum() - p) + problem.ridge * w
+        w = _solve_on(A, f, ridge, working)
+        grad = A.T @ (A @ w - f) + p * (p * w.sum() - p) + ridge * w
         solved, atoms = grad[working], w[working] > 0
         tolerance = float(p * np.spacing(p) + max(np.abs(solved[atoms]).max(initial=0.0),
                                                   -solved[~atoms].min(initial=0.0)))
-        outside = np.ones(n, dtype=bool)
+        outside = np.ones(len(w), dtype=bool)
         outside[working] = False
         entering = np.flatnonzero(outside & (grad < -tolerance))
         if len(entering) == 0:

@@ -107,6 +107,21 @@ class TestCertify:
         assert results["configurations_solved"] <= (results["trials_run"]
                                                     - results["trials_skipped"])
 
+    def test_no_trial_evaluated_reports_strict_json(self, capsys, tmp_path):
+        # every 1-d trial leaves a table on [0, 1]: no eigenvalue exists to report
+        path = tmp_path / "short.csv"
+        path.write_text("t,f\n0,1\n0.5,0.5\n1,0\n")
+        assert cli.main(["certify", str(path), "--dim", "1", "--trials", "10"]) == 2
+        out, err = capsys.readouterr()
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+        results = json.loads(out, parse_constant=reject)["results"]
+        assert results["verdict"] == "inconclusive"
+        assert results["trials_skipped"] == results["trials_run"] == 10
+        assert results["min_eigenvalue"] is None
+        assert "no trial evaluated" in err and "nan" not in err
+
     def test_unknown_profile_is_usage_error(self, capsys):
         code, payload, err = run_cli(capsys, "certify", "not-a-profile")
         assert code == 1
@@ -393,6 +408,14 @@ def test_report_is_json_dumps_bytes(capsys, argv):
     cli.main(list(argv))
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out)) + "\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64("-inf")])
+def test_report_refuses_non_finite_floats(capsys, value):
+    # RFC 8259 has no NaN or Infinity: no report may print one
+    with pytest.raises(ValueError, match="JSON"):
+        cli.emit_report("certify", {}, {"min_eigenvalue": value}, False, 0.0)
+    assert capsys.readouterr().out == ""
 
 
 def comparable_payload(payload) -> str:

@@ -100,7 +100,7 @@ class TestInPlaceStatistics:
         rows = key_identity_mc(f, measure, t_values, n=n, reps=reps, seed=seed)
         for t, row in zip(t_values, rows, strict=True):
             lhs = mean_and_std_se(f(t * root))
-            rhs = mean_and_std_se(np.exp(-0.5 * t * t * scales * chi2 / n))
+            rhs = mean_and_std_se(np.exp(-0.5 * t * t * (scales * chi2 / n)))
             assert (row.lhs, row.lhs_se, row.rhs, row.rhs_se) == (*lhs, *rhs)
 
     def test_estimate_mixing_is_the_allocating_form(self):

@@ -112,8 +112,7 @@ class TestNnls:
         t, s = np.linspace(0.0, 4.0, 41), default_s_grid()
         f = catalog_profile("exp-mixture")(t)
         columns = np.arange(0, len(s), 3)
-        ours = recover._solve_on(RecoveryProblem(t, f, s, ridge=ridge), design_matrix(t, s),
-                                 columns)
+        ours = recover._solve_on(design_matrix(t, s), f, ridge, columns)
         theirs = np.zeros(len(s))
         theirs[columns] = full_grid_nnls(design_matrix(t, s[columns]), f, ridge)
         assert np.count_nonzero(ours) > 1
@@ -206,13 +205,30 @@ class TestRecoverMixing:
         a = design_matrix(t, s)
         reference = full_grid_nnls(a, f, ridge)
         start = np.setdiff1d(np.arange(0, len(s), 8), np.flatnonzero(reference))
-        w, working, violation, tolerance = recover._solve_to_kkt(
-            RecoveryProblem(t, f, s, ridge=ridge), a, start)
+        w, working, violation, tolerance = recover._solve_to_kkt(a, f, ridge, start)
         assert len(working) > len(start)
         assert violation <= tolerance
         theirs = penalised_objective(a, f, ridge, reference)
         ours = penalised_objective(a, f, ridge, w)
         assert ours <= theirs * (1 + OBJECTIVE_RTOL) + OBJECTIVE_ATOL
+
+    @pytest.mark.parametrize("points,index", [(801, 400), (803, 401)])
+    def test_staged_solve_runs_on_schoenbergs_omega3_kernel(self, points, index):
+        # Omega_3(rt) = sin(rt) / (rt) goes negative, which RecoveryProblem
+        # would reject; the helpers read only the matrix. sinc(t) is the
+        # kernel at r = 1, on the coarse stride (index 400) or off it (401).
+        t, r = np.linspace(0.0, 6.0, 121), np.logspace(-2.0, 2.0, points)
+        assert r[index] == pytest.approx(1.0, rel=1e-12)
+        a = np.sinc(np.multiply.outer(t, r) / np.pi)
+        f = np.sinc(t / np.pi)
+        coarse = recover._solve_on(a, f, 0.0, np.arange(0, points, recover.COARSE_STRIDE))
+        working = recover._windows(np.flatnonzero(coarse), points)
+        w, _, violation, tolerance = recover._solve_to_kkt(a, f, 0.0, working)
+        # atoms as recover_mixing keeps them
+        assert np.flatnonzero(w > recover.PRUNE_THRESHOLD).tolist() == [index]
+        assert w[index] == pytest.approx(1.0, abs=1e-13)
+        assert np.abs(a @ w - f).max() <= 1e-13
+        assert violation <= tolerance
 
     @pytest.mark.parametrize("pid,ridge,m,n,solves", [
         ("exp-mixture", 1e-7, 161, 961, 2),  # the benchmark's fine grid
