@@ -1,7 +1,7 @@
 """Radial profiles f: R+ -> R+ with f(0) = 1.
 
 A profile is either a closed-form catalog entry or a tabulated curve with
-monotone piecewise-cubic interpolation. The catalog ids are:
+monotone piecewise-cubic (PCHIP) interpolation, in numpy. The catalog ids are:
 
 ====================  ==========================  ==========================
 id                    f(t)                        mixture representation
@@ -132,19 +132,49 @@ def check_samples(t, f) -> tuple[np.ndarray, np.ndarray]:
     return t, f
 
 
+def _pchip_slopes(t, f) -> np.ndarray:
+    """Node slopes by scipy's ``PchipInterpolator`` rules and operations (Fritsch & Butland
+    1984): inside, the weighted harmonic mean of the two secants, 0 where they differ in sign
+    or one is 0; at the ends, one-sided three-point estimates under scipy's two limiters;
+    for two nodes, the one secant."""
+    h = np.diff(t)
+    m = np.diff(f) / h
+    if len(m) == 1:
+        return np.array([m[0], m[0]])
+    d = np.zeros_like(f)
+    k = np.flatnonzero((np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0))
+    w1, w2 = 2 * h[k + 1] + h[k], h[k + 1] + 2 * h[k]
+    d[k + 1] = 1.0 / ((w1 / m[k] + w2 / m[k + 1]) / (w1 + w2))
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    steep = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3 * np.abs(m0))
+    d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(steep, 3 * m0, end))
+    return d
+
+
 def tabulated_profile(t_nodes, f_nodes, label: str = "tabulated") -> RadialProfile:
     """Profile from samples (t_j, f_j) that pass ``check_samples``, at least two of them.
 
-    Interpolation is shape-preserving piecewise cubic (PCHIP) clamped at
-    zero; evaluation past the last node raises instead of extrapolating.
+    Interpolation is PCHIP (Fritsch & Carlson 1980) clamped at zero: per piece,
+    the cubic Hermite polynomial of its end values and ``_pchip_slopes``, in
+    Horner form, a few ulp from scipy's ``PchipInterpolator`` and not
+    bit-identical. ``fn`` is NaN off [0, t_max]; the profile raises there.
     """
     t_nodes, f_nodes = check_samples(t_nodes, f_nodes)
     if len(t_nodes) < 2:
         raise ValueError(f"{label}: need at least two nodes")
-    from scipy.interpolate import PchipInterpolator  # deferred: slow to import
+    h, d = np.diff(t_nodes), _pchip_slopes(t_nodes, f_nodes)
+    secant = np.diff(f_nodes) / h
+    cubic = (d[:-1] + d[1:] - 2 * secant) / h
+    c3, c2 = cubic / h, (secant - d[:-1]) / h - cubic  # as scipy's CubicHermiteSpline
 
-    interp = PchipInterpolator(t_nodes, f_nodes, extrapolate=False)
-    return RadialProfile(label, lambda t: np.maximum(0.0, interp(t)), t_max=float(t_nodes[-1]))
+    def fn(t):
+        i = np.clip(np.searchsorted(t_nodes, t, side="right") - 1, 0, len(h) - 1)
+        s = t - t_nodes[i]
+        out = ((c3[i] * s + c2[i]) * s + d[i]) * s + f_nodes[i]
+        return np.maximum(0.0, np.where((t >= 0) & (t <= t_nodes[-1]), out, np.nan))
+
+    return RadialProfile(label, fn, t_max=float(t_nodes[-1]))
 
 
 def read_tf_csv(path) -> tuple[np.ndarray, np.ndarray]:

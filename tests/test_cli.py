@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, payloads, reproducibility."""
 
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -55,7 +56,7 @@ class TestCertify:
              -1.8822096729591637e-17, 1000, 0, 511, None, 48),
             ("triangle --dim 2", "refuted", -0.0398176996429786, 13, 0, 12,
              -0.03981769964297856, 12),
-            ("TABLE --dim 2", "inconclusive", 0.031607373466350154, 2000, 1977, 23, None, 6),
+            ("TABLE --dim 2", "inconclusive", 0.031607373466349765, 2000, 1977, 23, None, 6),
         ])
     def test_sweep_reports_are_pinned(self, capsys, tmp_path, argv, verdict, min_eigenvalue,
                                       run, skipped, solved, form, eigensolves):
@@ -480,74 +481,68 @@ def test_decompose_with_a_ridge_that_zeroes_the_coarse_solve_is_an_error():
     assert proc.stderr.startswith("error: ")
 
 
-def test_montecarlo_commands_load_no_scipy():
-    # scipy is imported only inside decompose's NNLS and tabulated profiles,
-    # so the de Finetti/LLN checks start on numpy alone
-    script = """
-import contextlib, io, json, sys
-from schoenberg_lab import catalog_profile, cli
-codes = []
-for argv in [
-    ["simulate", "delta:1", "--n", "10000", "--reps", "200", "--seed", "1"],
-    ["verify-identity", "gaussian", "delta:1", "--t", "1", "--n", "100",
-     "--n-coarse", "10", "--reps", "200", "--seed", "1"],
-    ["consistency", "exp:1", "--count", "500", "--seed", "1"],
-    ["cm-check", "gaussian"],
-]:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        codes.append(cli.main(argv))
-print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
-"""
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120, env=child_env())
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["codes"] == [0, 0, 0, 0]
-    assert out["scipy"] == []
+# The import contract: the scipy modules each subcommand may load, by input.
+# decompose's NNLS is scipy.optimize's; every other path, tabulated profiles
+# included, runs on numpy alone. A path that needs more widens its row here,
+# with a reason. Each row: argv (TABLE is a 101-node Gaussian t,f CSV on
+# [0, 4], SAMPLES a 3-row one), exit code, the scipy modules it may import.
+IMPORT_CONTRACT = [
+    (["simulate", "delta:1", "--n", "10000", "--reps", "200", "--seed", "1"], 0, ()),
+    (["verify-identity", "gaussian", "delta:1", "--t", "1", "--n", "100",
+      "--n-coarse", "10", "--reps", "200", "--seed", "1"], 0, ()),
+    (["consistency", "exp:1", "--count", "500", "--seed", "1"], 0, ()),
+    (["cm-check", "gaussian"], 0, ()),
+    (["certify", "gaussian", "--dim", "2", "--trials", "50", "--seed", "1"], 0, ()),
+    (["certify", "triangle", "--dim", "2", "--seed", "1"], 2, ()),
+    (["decompose", "gaussian"], 0, ("scipy.optimize",)),
+    # a tabulated profile's verdict is about its PCHIP interpolant: exit 2
+    (["certify", "TABLE", "--dim", "2", "--trials", "50", "--seed", "1"], 2, ()),
+    (["cm-check", "TABLE"], 2, ()),
+    # samples go straight to the recovery problem, never through an interpolant
+    (["decompose", "SAMPLES"], 0, ("scipy.optimize",)),
+]
 
-
-def test_certify_loads_no_scipy():
-    # certify computes its distances in numpy, so a catalog profile is
-    # certified or refuted without any scipy module
-    script = """
-import contextlib, io, json, sys
-from schoenberg_lab import catalog_profile, cli
-codes = []
-for argv in [
-    ["certify", "gaussian", "--dim", "2", "--trials", "50", "--seed", "1"],
-    ["certify", "triangle", "--dim", "2", "--seed", "1"],
-]:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        codes.append(cli.main(argv))
-print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
-"""
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120, env=child_env())
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["codes"] == [0, 2]
-    assert out["scipy"] == []
-
-
-def test_decompose_reads_samples_without_interpolating(tmp_path):
-    # a samples CSV goes straight to the recovery problem, never through a
-    # tabulated (interpolated) profile
-    script = """
+CONTRACT_CHILD = """
 import contextlib, io, json, sys
 from schoenberg_lab import cli
-with open(sys.argv[1], "w") as fh:
-    fh.write("t,f\\n0,1\\n0.5,0.8825\\n1,0.6065\\n")
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    code = cli.main(["decompose", sys.argv[1]])
+    code = cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "scipy": sorted(
-    m for m in sys.modules if m in ("scipy.optimize", "scipy.interpolate"))}))
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
 """
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "samples.csv")],
-                          capture_output=True, text=True, timeout=120, env=child_env())
+
+
+@functools.cache
+def scipy_loaded_by(modules: tuple[str, ...]) -> frozenset[str]:
+    """The scipy modules that importing ``modules`` alone loads, in a fresh interpreter."""
+    if not modules:
+        return frozenset()
+    script = ("import importlib, json, sys\n"
+              f"for name in {list(modules)!r}: importlib.import_module(name)\n"
+              "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True)
+    return frozenset(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("argv, code, allowed", IMPORT_CONTRACT,
+                         ids=[" ".join(argv[:2]) for argv, _, _ in IMPORT_CONTRACT])
+def test_import_contract(tmp_path, argv, code, allowed):
+    t = np.linspace(0.0, 4.0, 101)
+    files = {"TABLE": tmp_path / "gaussian.csv", "SAMPLES": tmp_path / "samples.csv"}
+    files["TABLE"].write_text("t,f\n" + "".join(
+        f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), np.exp(-t**2 / 2).tolist())))
+    files["SAMPLES"].write_text("t,f\n0,1\n0.5,0.8825\n1,0.6065\n")
+    argv = [str(files.get(word, word)) for word in argv]
+    proc = subprocess.run([sys.executable, "-c", CONTRACT_CHILD, *argv], capture_output=True,
+                          text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"code": 0, "scipy": ["scipy.optimize"]}
+    out = json.loads(proc.stdout)
+    assert out["code"] == code
+    loaded = set(out["scipy"])
+    assert "scipy.interpolate" not in loaded
+    assert loaded <= scipy_loaded_by(allowed)
+    assert set(allowed) <= loaded  # a row allows only what its path loads
 
 
 def test_cli_import_loads_no_thread_pool():

@@ -1,5 +1,7 @@
 """Alternating-difference complete monotonicity checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from schoenberg_lab import (
     complete_monotonicity_check,
     tabulated_profile,
 )
-from schoenberg_lab.monotonicity import alternating_differences
+from schoenberg_lab.monotonicity import MonotonicityReport, alternating_differences
 
 
 def test_gaussian_differences_match_closed_form():
@@ -86,6 +88,33 @@ def test_profile_is_evaluated_once_per_row():
     assert calls == [u.shape] * 9
     assert report.worst_by_order == \
         complete_monotonicity_check(catalog_profile("gaussian"), max_order=8).worst_by_order
+
+
+def whole_table_report(profile, max_order, u, h=0.1):
+    """The report from one (max_order + 1) x len(u) table, as the check was before blocks."""
+    values = [profile(np.sqrt(u + i * h)) for i in range(max_order + 1)]
+    g_max = float(np.abs(values[0]).max())
+    epsilon = 1e-10 * g_max
+    worst = [(m, float(alternating_differences(values, m).min())) for m in range(max_order + 1)]
+    fails = [m for m, value in worst
+             if value < -(epsilon + 2.0 ** m * np.finfo(float).eps * g_max)]
+    return MonotonicityReport(worst, epsilon, not fails, fails[0] if fails else None)
+
+
+@pytest.mark.parametrize("profile_id", ["gaussian", "triangle"])
+def test_blocks_match_the_whole_table_in_bounded_memory(profile_id):
+    # 19,998 u points are five blocks; the whole table at order 51 is 8.3 MB,
+    # one block 52 x 4096 doubles, 1.7 MB
+    profile, u = catalog_profile(profile_id), np.arange(0.1, 1e3, 0.05)
+    tracemalloc.start()
+    try:
+        report = complete_monotonicity_check(profile, max_order=51, u_grid=u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == whole_table_report(profile, 51, u)
+    assert report.passed == (profile_id == "gaussian")
+    assert peak <= 3e6
 
 
 def test_rejects_bad_arguments():

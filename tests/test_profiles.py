@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from schoenberg_lab import catalog_profile, profile_from_csv, tabulated_profile
-from schoenberg_lab.profiles import catalog_ids, resolve_profile
+from schoenberg_lab.profiles import _pchip_slopes, catalog_ids, resolve_profile
+
+EPS = np.finfo(float).eps
 
 
 class TestCatalog:
@@ -113,6 +116,12 @@ class TestTabulated:
         f = tabulated_profile([0.0, 1.0, 2.0], [1.0, 0.5, 0.2])
         with pytest.raises(ValueError, match="extrapolation"):
             f(2.5)
+        with pytest.raises(ValueError, match="extrapolation"):
+            f(np.nextafter(2.0, 3.0))
+        # the interpolant itself is NaN off [0, t_max], as scipy's with extrapolate=False
+        out = f.fn(np.array([2.0, np.nextafter(2.0, 3.0), 2.5, -1.0]))
+        assert out[0] == pytest.approx(0.2)
+        assert np.isnan(out[1:]).all()
 
     def test_requires_leading_unit_node(self):
         with pytest.raises(ValueError, match="t must start at 0"):
@@ -123,6 +132,56 @@ class TestTabulated:
     def test_requires_sorted_nodes(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             tabulated_profile([0.0, 2.0, 1.0], [1.0, 0.2, 0.5])
+
+
+@st.composite
+def pchip_tables(draw):
+    """(t, f): 2-60 nodes from t = 0, spacings over three decades, f >= 0 with f(0) = 1,
+    with flat runs, a zero tail and non-monotone bumps."""
+    n = draw(st.integers(2, 60))
+    gaps = draw(st.lists(st.floats(-3.0, 0.0), min_size=n - 1, max_size=n - 1))
+    t = np.concatenate([[0.0], np.cumsum(10.0 ** np.asarray(gaps))])
+    f = [1.0]
+    for value in draw(st.lists(st.one_of(st.none(), st.floats(0.0, 2.0)),
+                               min_size=n - 1, max_size=n - 1)):
+        f.append(f[-1] if value is None else value)  # None repeats: a flat run
+    f = np.asarray(f)
+    f[n - draw(st.integers(0, n - 1)):] = 0.0
+    return t, f
+
+
+def truncated_power_table(n):
+    """(1 - t/3)_+^6 at n nodes on [0, 4]."""
+    t = np.linspace(0.0, 4.0, n)
+    return t, np.maximum(0.0, 1.0 - t / 3.0) ** 6
+
+
+class TestPchipMatchesScipy:
+    # scipy's PchipInterpolator is the oracle: the same slopes, evaluated in
+    # power form where the package uses Horner form, so a few ulp apart
+    @settings(max_examples=100, deadline=None)
+    @given(table=pchip_tables())
+    @example(table=(np.array([0.0, 1.0]), np.array([1.0, 0.5])))
+    @example(table=(np.array([0.0, 0.5, 2.0]), np.array([1.0, 0.2, 0.6])))
+    @example(table=(np.linspace(0.0, 1.0, 101), 1.0 - np.linspace(0.0, 1.0, 101)))
+    @example(table=truncated_power_table(41))
+    def test_values_and_slopes(self, table):
+        t, f = table
+        x = np.sort(np.concatenate([np.linspace(0.0, t[-1], 1000 - len(t)), t]))
+        assert x[-1] == t[-1]
+        # secants near the smallest normal overflow the harmonic mean to a zero
+        # slope, in scipy's operations and so in the package's
+        with np.errstate(over="ignore"):
+            ours = tabulated_profile(t, f)(x)
+            oracle = PchipInterpolator(t, f, extrapolate=False)
+            slopes = _pchip_slopes(t, f)
+        assert np.abs(ours - np.maximum(0.0, oracle(x))).max() <= 8 * EPS * np.abs(f).max()
+        # a slope is f per t: at the last node, where scipy evaluates the last
+        # piece's derivative at its far end, the bound scales by the steepest secant
+        expected = oracle.derivative()(t)
+        np.testing.assert_array_equal(slopes[:-1], expected[:-1])
+        steepest = np.abs(np.diff(f) / np.diff(t)).max()
+        assert abs(slopes[-1] - expected[-1]) <= 8 * EPS * steepest
 
 
 class TestCsv:
