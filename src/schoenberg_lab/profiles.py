@@ -71,7 +71,8 @@ class RadialProfile:
 
 
 def _gaussian(t):
-    out = np.square(t, out=np.empty(np.shape(t)))
+    with np.errstate(over="ignore"):  # t^2 is inf from t ~ 1.3e154; f is 0 there exactly
+        out = np.square(t, out=np.empty(np.shape(t)))
     np.negative(out, out=out)
     out /= 2.0
     return np.exp(out, out=out)
@@ -83,7 +84,8 @@ def _cauchy(t):
 
 
 def _exp_mixture(t):
-    out = np.square(t, out=np.empty(np.shape(t)))
+    with np.errstate(over="ignore"):  # as in _gaussian: 1 / inf is 0 exactly
+        out = np.square(t, out=np.empty(np.shape(t)))
     out /= 2.0
     out += 1.0
     return np.divide(1.0, out, out=out)
@@ -144,7 +146,8 @@ def _pchip_slopes(t, f) -> np.ndarray:
     d = np.zeros_like(f)
     k = np.flatnonzero((np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0))
     w1, w2 = 2 * h[k + 1] + h[k], h[k + 1] + 2 * h[k]
-    d[k + 1] = 1.0 / ((w1 / m[k] + w2 / m[k + 1]) / (w1 + w2))
+    with np.errstate(over="ignore"):  # w / m is inf for a secant near 1e-308; 1 / inf is 0
+        d[k + 1] = 1.0 / ((w1 / m[k] + w2 / m[k + 1]) / (w1 + w2))
     h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
     end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
     steep = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3 * np.abs(m0))

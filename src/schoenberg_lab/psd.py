@@ -37,13 +37,10 @@ _CHUNK = 64
 # span [0, 2L]. Part of the stream definition, like _CHUNK.
 _BOX_HALFWIDTH = 3.0
 
-# Most chunks certify_psd solves at once; not part of the stream. Uncapped
-# doubling holds larger stacks: with size-class stacks it adds 3 MB of
-# transient arrays (tracemalloc peak of ``certify gaussian --dim 5``). In 6
-# alternating 20 s perfbench pairs on 2 vCPUs it read certify-sweep wall_s
-# 0.282 s against 0.326 s (faster in 6 of 6) and peak RSS 91.7 MB against
-# 87.9 MB (+4.4%, a figure that includes the reports perfbench keeps of every
-# pass, so a faster run reads more).
+# Most chunks certify_psd solves at once; not part of the stream. It bounds
+# the memory a batch holds. Uncapped doubling measured -15.7% certify-sweep
+# wall_s and +2.85 MB peak RSS, a gain the benchmark's paired runs did not
+# confirm.
 _BATCH_CAP = 4
 
 # certify_psd evaluates the configurations of a batch whose point counts k
@@ -274,30 +271,33 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     Trials come in chunks of 64. Chunk c draws the point counts, spans and
     box points of all its trials as arrays from one substream keyed by
     (seed, c). The search draws chunks in batches of 1, 2, 4, 4, ... as far
-    as it goes, and puts a batch's unsolved configurations into stacks keyed
-    by lattice or box draw and by size class ceil(k / 8), k the
-    configuration's own point count; ``threads`` spreads the stacks over
-    worker threads. A batch is built as arrays: a box stack is one ``take``
-    from the batch's box points, a lattice stack one product of rows of a
-    table of unit lattices (``_lattice_table``) with the trials' spans. Each
-    stack takes one distance, one profile and one Cholesky evaluation
-    (``_solve_stack``). From the second batch on, a Gram matrix is
-    eigen-solved only when ``_screen`` cannot place it above max(minimum of
-    the earlier batches, -tol), where it could neither refute nor hold the
-    minimum; it is then solved unpadded, so every lambda_min is what solving
-    its matrix alone gives. The batch's outcomes are then read in trial
-    order: the first refuting trial ends the search. Results are identical
-    for any ``threads``.
+    as it goes, and solves the batch's trials that are their own source
+    (below) in stacks keyed by lattice or box draw and by size class
+    ceil(k / 8), k the configuration's own point count; ``threads`` spreads
+    the stacks over worker threads. A batch is built as arrays: a box stack
+    is one ``take`` from the batch's box points, a lattice stack one product
+    of rows of a table of unit lattices (``_lattice_table``) with the
+    trials' spans. Each stack takes one distance, one profile and one
+    Cholesky evaluation (``_solve_stack``). From the second batch on, a Gram
+    matrix is eigen-solved only when ``_screen`` cannot place it above
+    max(minimum of the earlier batches, -tol), where it could neither refute
+    nor hold the minimum; it is then solved unpadded, so every lambda_min is
+    what solving its matrix alone gives. Results are identical for any
+    ``threads``.
 
-    Fixed-span lattices depend on the point count alone; each is evaluated
-    once per call, at its first trial, and its outcome reused.
-    ``configurations_solved`` counts the trials run, and not skipped, that
-    solved their configuration: every scaled-lattice and box trial, and the
-    first trial of each fixed-span lattice. That is the number of distinct
-    Gram matrices evaluated, by eigensolve or by the screen; ``eigensolves``
-    counts those of them eigen-solved.
-    ``trials_skipped`` counts the trials whose configuration left a
-    tabulated profile's domain; skipped trials are not evaluated.
+    Outcomes live in one table per call, keyed by trial index: lambda_min,
+    whether it refutes, and the source trial whose outcome a trial reads,
+    itself for a scaled lattice or a box draw. A fixed-span lattice depends
+    on its point count alone: its source is the first trial of its
+    ``_lattice_table`` row, so it is evaluated once per call. A batch writes
+    the outcomes it solved into the table, then reads its trials' sources in
+    trial order; the first refuting trial ends the search. The counters are
+    read from the table over the trials run: ``configurations_solved``
+    counts the trials that are their own source and were not skipped (the
+    distinct Gram matrices evaluated, by eigensolve or by the screen),
+    ``eigensolves`` those of them eigen-solved, and ``trials_skipped`` the
+    trials whose configuration left a tabulated profile's domain, which are
+    not evaluated.
 
     A tabulated profile (``t_max`` set) can be refuted but never certified:
     certification in R^dim is a claim about f on [0, inf), and
@@ -318,24 +318,21 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     f0 = float(profile(0.0))
     fixed_span = 2.0 * _BOX_HALFWIDTH
     table, lattice_row, lattice_size = _lattice_table(dim, k_max)
-    n_classes = -(-k_max // _SIZE_CLASS) + 1  # stack keys: size class, plus this for lattices
-    # Outcomes of the fixed-span lattices by table row: a fixed-span lattice
-    # is evaluated once per call. Scaled lattices and box draws are each
-    # their trial's own configuration.
-    shape_lam = np.full(len(table), np.nan)
-    shape_refutes = np.zeros(len(table), dtype=bool)
-    shape_solved = np.zeros(len(table), dtype=bool)
-    n_solved = n_eigensolves = skipped = 0
+    # The outcome table, keyed by trial index; trial i reads trial source[i].
+    lam = np.full(trials, np.nan)  # NaN until solved, or off a tabulated domain
+    refutes = np.zeros(trials, dtype=bool)
+    source = np.arange(trials)
+    first = np.full(len(table), trials)  # each table row's first fixed-span trial so far
 
     global_min = np.inf
     global_min_pts = None
-    refutation = None  # (trials run, points) of the refuting trial
+    trials_run, refutation = trials, None  # refutation: the refuting trial's points
     n_chunks = -(-trials // _CHUNK)
-    first, size = 0, 1
-    while first < n_chunks and refutation is None:
+    drawn, size = 0, 1
+    while drawn < n_chunks and refutation is None:
         floor = max(global_min, -tol)  # set before any worker runs; inf in the first batch
         draws = []  # (point counts, spans, box points) per chunk
-        for chunk in range(first, min(first + size, n_chunks)):
+        for chunk in range(drawn, min(drawn + size, n_chunks)):
             n = min(_CHUNK, trials - chunk * _CHUNK)
             rng = substream(seed, ROLE_TRIAL, chunk)
             ks = rng.integers(2, k_max + 1, size=n)
@@ -343,15 +340,15 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
             box_ks = ks[(chunk * _CHUNK + np.arange(n)) % _N_KINDS == _KIND_RANDOM_BOX]
             draws.append((ks, spans, rng.uniform(-_BOX_HALFWIDTH, _BOX_HALFWIDTH,
                                                   size=(int(box_ks.sum()), dim))))
-        start = first * _CHUNK
-        first, size = first + size, min(2 * size, _BATCH_CAP)
+        start = drawn * _CHUNK
+        drawn, size = drawn + size, min(2 * size, _BATCH_CAP)
         ks, spans, box = (np.concatenate(parts) for parts in zip(*draws))
 
         # One entry per trial of the batch, in trial order.
-        kinds = (start + np.arange(len(ks))) % _N_KINDS
+        trial = start + np.arange(len(ks))
+        kinds = trial % _N_KINDS
         is_box = kinds == _KIND_RANDOM_BOX
-        own = is_box | (kinds == _KIND_SCALED_LATTICE)
-        fixed = ~own
+        fixed = (kinds == _KIND_LATTICE_2D) | (kinds == _KIND_LATTICE_1D)
         row = lattice_row[(kinds != _KIND_LATTICE_1D).astype(int), ks - 2]
         npts = np.where(is_box, ks, lattice_size[row])
         span = np.where(kinds == _KIND_SCALED_LATTICE, spans, fixed_span)
@@ -365,51 +362,41 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
                 return box.take(box_at[members][:, None] + slots * (slots < n[:, None]), axis=0)
             return table[row[members], :len(slots)] * span[members][:, None, None]
 
-        # Solve every own configuration and the first trial of each fixed-span
-        # lattice not solved before, in stacks keyed by (box?, size class).
-        # Distinct values are found by marking, not sorting: np.unique and
-        # np.union1d here raised a certify call's peak RSS by 1.6-2 MB, the
-        # numpy sort code they page in.
-        trial_of = np.full(len(table), len(ks))  # each shape's first trial in the batch
-        np.minimum.at(trial_of, row[fixed], np.flatnonzero(fixed))
-        new = trial_of[(trial_of < len(ks)) & ~shape_solved]
-        solve = own.copy()
-        solve[new] = True
-        todo = np.flatnonzero(solve)
-        stack_of = (np.where(is_box, 0, n_classes) + -(-npts // _SIZE_CLASS))[todo]
+        # Solve the trials that are their own source, in stacks keyed by (box?,
+        # size class). Distinct keys are found by counting, not sorting:
+        # np.unique here raised a certify call's peak RSS by 1.6-2 MB, the
+        # numpy sort code it pages in.
+        np.minimum.at(first, row[fixed], trial[fixed])
+        source[trial[fixed]] = first[row[fixed]]
+        todo = np.flatnonzero(source[trial] == trial)
+        stack_of = (2 * -(-npts // _SIZE_CLASS) + is_box)[todo]
         stacks = [todo[stack_of == key] for key in np.flatnonzero(np.bincount(stack_of))]
         solved = parallel_map(
             lambda s: _solve_stack(profile, f0, tol, floor, points_of(stacks[s]),
                                    npts[stacks[s]]),
             len(stacks), threads)
-        lam = np.empty(len(ks))
-        refutes = np.empty(len(ks), dtype=bool)
         for members, (stack_lam, stack_refutes) in zip(stacks, solved):
-            lam[members], refutes[members] = stack_lam, stack_refutes
-        shape_solved[row[new]] = True
-        shape_lam[row[new]], shape_refutes[row[new]] = lam[new], refutes[new]
-        lam[fixed], refutes[fixed] = shape_lam[row[fixed]], shape_refutes[row[fixed]]
+            lam[trial[members]], refutes[trial[members]] = stack_lam, stack_refutes
 
         # Read the outcomes in trial order, up to the first refuting trial.
-        hits = np.flatnonzero(refutes)
+        reads = source[trial]
+        hits = np.flatnonzero(refutes[reads])
         run = int(hits[0]) + 1 if len(hits) else len(ks)
-        lam = lam[:run]
-        evaluated = ~np.isnan(lam)
-        skipped += run - int(evaluated.sum())
-        counted = evaluated & solve[:run]
-        n_solved += int(counted.sum())
-        n_eigensolves += int((counted & (lam < np.inf)).sum())
-        lam = np.where(evaluated, lam, np.inf)
-        best = int(np.argmin(lam))
-        if lam[best] < global_min:
-            global_min, global_min_pts = float(lam[best]), points_of([best])[0]
+        seen = lam[reads[:run]]
+        seen = np.where(np.isnan(seen), np.inf, seen)  # a skipped trial holds no minimum
+        best = int(np.argmin(seen))
+        if seen[best] < global_min:
+            global_min, global_min_pts = float(seen[best]), points_of([best])[0]
         if len(hits):
-            refutation = start + run, points_of([run - 1])[0]
+            trials_run, refutation = start + run, points_of([run - 1])[0]
 
+    # The counters, read from the table over the trials run.
+    own = lam[:trials_run][source[:trials_run] == np.arange(trials_run)]
+    skipped = int(np.isnan(lam[source[:trials_run]]).sum())
     verdict = "certified" if profile.t_max is None else "inconclusive"
-    trials_run, points, witness = trials, global_min_pts, None
+    points, witness = global_min_pts, None
     if refutation is not None:
-        trials_run, points = refutation
+        points = refutation
         gram = gram_matrix(profile, points)
         coefficients = _bottom_eigenvector(gram)
         verdict, witness = "refuted", (coefficients, quadratic_form(gram, coefficients))
@@ -423,6 +410,6 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         witness=witness,
         trials_run=trials_run,
         trials_skipped=skipped,
-        configurations_solved=n_solved,
-        eigensolves=n_eigensolves,
+        configurations_solved=int((~np.isnan(own)).sum()),
+        eigensolves=int((own < np.inf).sum()),
     )

@@ -380,6 +380,17 @@ class TestCmCheck:
         assert code == 2
         assert payload["results"]["first_failing_order"] <= 3
 
+    def test_table_through_the_subnormals_gives_a_verdict(self, capsys, tmp_path):
+        # exp(-t^2/2) at 401 rows on [0, 40]: secants near 1e-308 overflowed the
+        # PCHIP slopes' harmonic mean, a warning and so here an error
+        path = tmp_path / "g40.csv"
+        t = np.linspace(0.0, 40.0, 401)
+        rows = zip(t.tolist(), np.exp(-t * t / 2).tolist())
+        path.write_text("t,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+        for argv in (["cm-check"], ["certify", "--dim", "2", "--trials", "100"]):
+            code, payload, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
+            assert code in (0, 2) and payload["command"] == argv[0]
+
 
 class TestSeedPolicy:
     def test_default_seed_recorded(self, capsys):

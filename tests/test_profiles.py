@@ -37,6 +37,14 @@ class TestCatalog:
         assert f(1.0) == 0.0
         assert f(7.3) == 0.0
 
+    @pytest.mark.parametrize("pid", ["gaussian", "exp-mixture"])
+    def test_zero_where_t_squared_overflows(self, pid):
+        # t^2 is inf from t ~ 1.3e154, where f is 0 exactly; the "overflow in
+        # square" warning that this once raised is an error here
+        f = catalog_profile(pid)
+        assert f(1e200) == 0.0
+        np.testing.assert_array_equal(f(np.array([1.4e154, 1e200, np.finfo(float).max])), 0.0)
+
     def test_unknown_id(self):
         with pytest.raises(KeyError, match="unknown profile"):
             catalog_profile("sinc")
@@ -165,16 +173,21 @@ class TestPchipMatchesScipy:
     @example(table=(np.array([0.0, 0.5, 2.0]), np.array([1.0, 0.2, 0.6])))
     @example(table=(np.linspace(0.0, 1.0, 101), 1.0 - np.linspace(0.0, 1.0, 101)))
     @example(table=truncated_power_table(41))
+    # secants -0.5, -0.5 and -1e-308: at t = 2 the harmonic mean's w / m is inf
+    @example(table=(np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 0.5, 1e-308, 0.0])))
+    # exp(-t^2/2) on [0, 40] passes through the subnormals near t = 37.7
+    @example(table=(np.linspace(0.0, 40.0, 401), np.exp(-np.linspace(0.0, 40.0, 401) ** 2 / 2)))
     def test_values_and_slopes(self, table):
         t, f = table
         x = np.sort(np.concatenate([np.linspace(0.0, t[-1], 1000 - len(t)), t]))
         assert x[-1] == t[-1]
         # secants near the smallest normal overflow the harmonic mean to a zero
-        # slope, in scipy's operations and so in the package's
+        # slope, in scipy's operations and so in the package's; scipy warns, the
+        # package does not (warnings are errors here)
+        ours = tabulated_profile(t, f)(x)
+        slopes = _pchip_slopes(t, f)
         with np.errstate(over="ignore"):
-            ours = tabulated_profile(t, f)(x)
             oracle = PchipInterpolator(t, f, extrapolate=False)
-            slopes = _pchip_slopes(t, f)
         assert np.abs(ours - np.maximum(0.0, oracle(x))).max() <= 8 * EPS * np.abs(f).max()
         # a slope is f per t: at the last node, where scipy evaluates the last
         # piece's derivative at its far end, the bound scales by the steepest secant

@@ -447,6 +447,15 @@ class TestCertify:
         ("cauchy", 2, 300, 64, 4),
         ("triangle", 1, 256, 30, 2),
         ("gaussian", 5, 2000, 64, 1938),  # certify-sweep's size: the screen's main work
+        # batches hold chunks 0, 1-2, 3-6, ...: a one-trial last chunk in batch 2,
+        # a partial last chunk in batch 2, and a one-trial batch 3
+        ("gaussian", 3, 65, 12, 1),
+        ("cauchy", 2, 130, 20, 3),
+        ("exp-mixture", 4, 193, 64, 5),
+        # k_max 2 and 3, and dim 1: each point count's axis and planar lattices are one row
+        ("gaussian", 2, 300, 2, 6),
+        ("cauchy", 3, 300, 3, 7),
+        ("exp-mixture", 1, 300, 12, 9),
     ])
     def test_matches_oracle_at_more_settings(self, pid, dim, trials, k_max, seed):
         assert self.check_against_oracle(catalog_profile(pid), dim, trials, k_max, seed).certified
@@ -456,6 +465,13 @@ class TestCertify:
         report = self.check_against_oracle(tabulated_profile(t, 1.0 - t), dim=2, trials=2000,
                                            k_max=64, seed=1938)
         assert report.verdict == "inconclusive"
+
+    def test_all_skipped_matches_oracle(self):
+        # no configuration fits in [0, 0.01]
+        report = self.check_against_oracle(tabulated_profile([0.0, 0.01], [1.0, 0.99]), dim=2,
+                                           trials=100, k_max=12, seed=1)
+        assert report.verdict == "inconclusive"
+        assert report.trials_skipped == 100
 
     @staticmethod
     def check_against_oracle(f, dim, trials, k_max, seed):
@@ -472,8 +488,12 @@ class TestCertify:
         lams = [np.linalg.eigvalsh(gram_matrix(f, pts))[0] for pts in configs]
         assert report.trials_run == trials
         assert report.trials_skipped == trials - len(configs)
-        assert report.min_eigenvalue == min(lams)
-        np.testing.assert_array_equal(report.points, configs[int(np.argmin(lams))])
+        if configs:
+            assert report.min_eigenvalue == min(lams)
+            np.testing.assert_array_equal(report.points, configs[int(np.argmin(lams))])
+        else:  # nothing evaluated: no eigenvalue, and a single point
+            assert np.isnan(report.min_eigenvalue)
+            np.testing.assert_array_equal(report.points, np.zeros((1, dim)))
         distinct = {(pts.shape, pts.tobytes()) for pts in configs}
         assert report.configurations_solved == len(distinct)
         assert report.configurations_solved <= report.trials_run - report.trials_skipped
