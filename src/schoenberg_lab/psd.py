@@ -137,38 +137,6 @@ def _bottom_eigenvector(gram: np.ndarray) -> np.ndarray:
     return vector
 
 
-def _lattice_table(dim: int, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unit lattices of 2 to k_max points in R^dim, as (table, row, size).
-
-    ``table[i]`` holds the ``size[i]`` points of one shape, m2 points along
-    axis 0 times m1 along axis 1 with the longer side spanning [0, 1],
-    padded to k_max points by its first point, the origin. A trial of k
-    points tests row ``row[0, k - 2]``, the axis lattice (m1 = 1, m2 = k), or
-    ``row[1, k - 2]``, the planar grid m1 = floor(sqrt(k)), m2 = k // m1 >= m1
-    (the axis lattice when dim = 1 or k < 4). Each shape has one row.
-    """
-    ks = np.arange(2, k_max + 1)
-    m1 = np.array([math.isqrt(k) if dim > 1 and k >= 4 else 1 for k in ks.tolist()])
-    m2 = ks // m1
-    # (m1, m2) never decreases as k grows, so equal planar shapes are
-    # adjacent: number each new one after the axis rows.
-    grid = m1 > 1
-    fresh = grid & np.r_[True, (m1[1:] != m1[:-1]) | (m2[1:] != m2[:-1])]
-    row = np.stack([ks - 2, np.where(grid, len(ks) - 1 + np.cumsum(fresh), ks - 2)])
-    m1 = np.r_[np.ones_like(ks), m1[fresh]]
-    m2 = np.r_[ks, m2[fresh]]
-    size = m1 * m2
-    slot = np.arange(k_max)
-    along, across = np.divmod(slot, m1[:, None])
-    inside = slot < size[:, None]
-    h = (1.0 / (m2 - 1))[:, None]
-    table = np.zeros((len(size), k_max, dim))
-    table[..., 0] = np.where(inside, along * h, 0.0)
-    if dim > 1:
-        table[..., 1] = np.where(inside, across * h, 0.0)
-    return table, row, size
-
-
 def _screen(gram: np.ndarray, floor: float, sizes) -> np.ndarray:
     """Mask of the (B, K, K) stack's Gram matrices whose computed lambda_min
     provably exceeds ``floor``: those where Cholesky factors G - tau I, with
@@ -207,7 +175,7 @@ def _screen(gram: np.ndarray, floor: float, sizes) -> np.ndarray:
 
 def _solve_stack(profile: RadialProfile, f0: float, tol: float, floor: float,
                  points: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_min, refutes) arrays for a (B, K, dim) stack of configurations,
+    """(lambda_min, refutes) arrays for a (B, K, n) stack of configurations,
     member b being its first ``sizes[b]`` points. lambda_min is NaN where a
     member leaves a tabulated profile's domain, and inf where ``_screen``
     passes it against a finite ``floor``.
@@ -264,7 +232,10 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     Trial i tests one point configuration of kind i mod 4: a lattice with a
     random span in [0.5, 2L], a planar lattice spanning [0, 2L], k uniform
     points in the box [-L, L]^dim, or an axis lattice spanning [0, 2L], with
-    k uniform in [2, k_max] and L = ``_BOX_HALFWIDTH`` = 3. A trial refutes when
+    k uniform in [2, k_max] and L = ``_BOX_HALFWIDTH`` = 3. A lattice is m2
+    points along axis 0 times m1 along axis 1, its longer side spanning
+    [0, span]: m1 = floor(sqrt(k)) and m2 = k // m1 for the first two kinds
+    when dim > 1 and k >= 4, else m1 = 1 and m2 = k. A trial refutes when
     lambda_min < -tol * max(1, ||G||_2); the report then carries the
     offending eigenvector as witness.
 
@@ -275,21 +246,24 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     (below) in stacks keyed by lattice or box draw and by size class
     ceil(k / 8), k the configuration's own point count; ``threads`` spreads
     the stacks over worker threads. A batch is built as arrays: a box stack
-    is one ``take`` from the batch's box points, a lattice stack one product
-    of rows of a table of unit lattices (``_lattice_table``) with the
-    trials' spans. Each stack takes one distance, one profile and one
-    Cholesky evaluation (``_solve_stack``). From the second batch on, a Gram
-    matrix is eigen-solved only when ``_screen`` cannot place it above
-    max(minimum of the earlier batches, -tol), where it could neither refute
-    nor hold the minimum; it is then solved unpadded, so every lambda_min is
-    what solving its matrix alone gives. Results are identical for any
-    ``threads``.
+    is one ``take`` from the batch's box points, a lattice stack the unit
+    lattices of its trials' (m1, m2) times their spans, on min(dim, 2) axes:
+    the other coordinates are 0 and add exact zeros to every squared
+    distance, so only the points a report keeps are padded to dim. No array
+    is sized by k_max but one entry per lattice shape. Each stack takes one
+    distance, one profile and one Cholesky evaluation (``_solve_stack``).
+    From the second batch on, a Gram matrix is eigen-solved only when
+    ``_screen`` cannot place it above max(minimum of the earlier batches,
+    -tol), where it could neither refute nor hold the minimum; it is then
+    solved unpadded, so every lambda_min is what solving its matrix alone
+    gives. Results are identical for any ``threads``.
 
     Outcomes live in one table per call, keyed by trial index: lambda_min,
     whether it refutes, and the source trial whose outcome a trial reads,
     itself for a scaled lattice or a box draw. A fixed-span lattice depends
-    on its point count alone: its source is the first trial of its
-    ``_lattice_table`` row, so it is evaluated once per call. A batch writes
+    on its shape alone, which its size and whether m1 > 1 fix (a planar
+    grid of size s has m1 = floor(sqrt(s))): its source is the first trial
+    of its shape, so it is evaluated once per call. A batch writes
     the outcomes it solved into the table, then reads its trials' sources in
     trial order; the first refuting trial ends the search. The counters are
     read from the table over the trials run: ``configurations_solved``
@@ -317,12 +291,11 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
 
     f0 = float(profile(0.0))
     fixed_span = 2.0 * _BOX_HALFWIDTH
-    table, lattice_row, lattice_size = _lattice_table(dim, k_max)
     # The outcome table, keyed by trial index; trial i reads trial source[i].
     lam = np.full(trials, np.nan)  # NaN until solved, or off a tabulated domain
     refutes = np.zeros(trials, dtype=bool)
     source = np.arange(trials)
-    first = np.full(len(table), trials)  # each table row's first fixed-span trial so far
+    first = np.full(2 * k_max + 2, trials)  # each lattice shape's first fixed-span trial so far
 
     global_min = np.inf
     global_min_pts = None
@@ -349,25 +322,39 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         kinds = trial % _N_KINDS
         is_box = kinds == _KIND_RANDOM_BOX
         fixed = (kinds == _KIND_LATTICE_2D) | (kinds == _KIND_LATTICE_1D)
-        row = lattice_row[(kinds != _KIND_LATTICE_1D).astype(int), ks - 2]
-        npts = np.where(is_box, ks, lattice_size[row])
+        planar = (kinds != _KIND_LATTICE_1D) & (ks >= 4) & (dim > 1)
+        m1 = np.where(planar, [math.isqrt(k) for k in ks.tolist()], 1)
+        m2 = ks // m1
+        npts = np.where(is_box, ks, m1 * m2)
         span = np.where(kinds == _KIND_SCALED_LATTICE, spans, fixed_span)
         box_at = np.cumsum(ks * is_box) - ks * is_box  # a box trial's first row of box
 
         def points_of(members):
-            """The (len(members), K, dim) stack of the members' points."""
+            """The (len(members), K, n) stack of the members' points, padded by
+            their first point; n is dim for box draws and min(dim, 2) for lattices."""
             n = npts[members]
             slots = np.arange(n.max())
+            slots = slots * (slots < n[:, None])
             if is_box[members[0]]:
-                return box.take(box_at[members][:, None] + slots * (slots < n[:, None]), axis=0)
-            return table[row[members], :len(slots)] * span[members][:, None, None]
+                return box.take(box_at[members][:, None] + slots, axis=0)
+            grid = np.stack(np.divmod(slots, m1[members][:, None]), axis=-1)[..., :dim]
+            return grid * (1.0 / (m2[members] - 1))[:, None, None] * span[members][:, None, None]
+
+        def kept(i):
+            """Trial i of the batch's points on all dim axes, as a report keeps them."""
+            pts = points_of([i])[0]
+            return np.pad(pts, ((0, 0), (0, dim - pts.shape[1])))
+
+        # A fixed-span lattice reads the first trial of its shape, keyed by
+        # (size, planar?): a planar grid's size fixes its m1.
+        shape = (2 * npts + (m1 > 1))[fixed]
+        np.minimum.at(first, shape, trial[fixed])
+        source[trial[fixed]] = first[shape]
 
         # Solve the trials that are their own source, in stacks keyed by (box?,
         # size class). Distinct keys are found by counting, not sorting:
         # np.unique here raised a certify call's peak RSS by 1.6-2 MB, the
         # numpy sort code it pages in.
-        np.minimum.at(first, row[fixed], trial[fixed])
-        source[trial[fixed]] = first[row[fixed]]
         todo = np.flatnonzero(source[trial] == trial)
         stack_of = (2 * -(-npts // _SIZE_CLASS) + is_box)[todo]
         stacks = [todo[stack_of == key] for key in np.flatnonzero(np.bincount(stack_of))]
@@ -386,9 +373,9 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         seen = np.where(np.isnan(seen), np.inf, seen)  # a skipped trial holds no minimum
         best = int(np.argmin(seen))
         if seen[best] < global_min:
-            global_min, global_min_pts = float(seen[best]), points_of([best])[0]
+            global_min, global_min_pts = float(seen[best]), kept(best)
         if len(hits):
-            trials_run, refutation = start + run, points_of([run - 1])[0]
+            trials_run, refutation = start + run, kept(run - 1)
 
     # The counters, read from the table over the trials run.
     own = lam[:trials_run][source[:trials_run] == np.arange(trials_run)]

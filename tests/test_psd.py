@@ -6,6 +6,9 @@ triangle profile on the line, and direct quadratic-form evaluation for
 refutation witnesses.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +32,7 @@ from schoenberg_lab.psd import (
     _KIND_RANDOM_BOX,
     _KIND_SCALED_LATTICE,
     _N_KINDS,
+    _SIZE_CLASS,
     _bottom_eigenvector,
 )
 from schoenberg_lab.rng import ROLE_TRIAL, STREAM_VERSION, substream
@@ -452,10 +456,13 @@ class TestCertify:
         ("gaussian", 3, 65, 12, 1),
         ("cauchy", 2, 130, 20, 3),
         ("exp-mixture", 4, 193, 64, 5),
-        # k_max 2 and 3, and dim 1: each point count's axis and planar lattices are one row
+        # k_max 2 and 3, and dim 1: a point count's axis and planar lattices are one shape
         ("gaussian", 2, 300, 2, 6),
         ("cauchy", 3, 300, 3, 7),
         ("exp-mixture", 1, 300, 12, 9),
+        # planar grids up to 17 x 17, in R^3; the planar trials of k 84 and 85,
+        # 156 and 165, 182 and 188, and of 210, 220 and 221 share a shape
+        ("cauchy", 3, 64, 300, 4),
     ])
     def test_matches_oracle_at_more_settings(self, pid, dim, trials, k_max, seed):
         assert self.check_against_oracle(catalog_profile(pid), dim, trials, k_max, seed).certified
@@ -594,6 +601,40 @@ class TestCertify:
         assert evaluated <= 500 + 2 * 11
         assert evaluated == report.configurations_solved
         assert sum(solved) == report.eigensolves < evaluated
+
+    def test_memory_follows_the_configurations_drawn(self):
+        # A call holds no array sized by k_max, only the Gram matrices of the
+        # configurations it draws. At k_max 1500 the four trials draw 756,
+        # 484, 544 and 919 points, each alone in its stack (their size
+        # classes differ), and the first batch is not screened. Solving a
+        # stack of one k-point configuration holds at most two k x k arrays
+        # at once: the distances and the squared differences, then the Gram
+        # matrix and eigvalsh's copy of it. Bound: twice that, four k x k
+        # arrays of the largest k (27 MB; a table of every unit lattice up
+        # to k_max took 118 MB).
+        sizes = [len(pts) for pts in oracle_configurations(2, 4, 1500, 1)]
+        assert len({(-(-k // _SIZE_CLASS), i % _N_KINDS == _KIND_RANDOM_BOX)
+                    for i, k in enumerate(sizes)}) == len(sizes)
+        tracemalloc.start()
+        try:
+            report = certify_psd(catalog_profile("gaussian"), dim=2, trials=4, k_max=1500,
+                                 seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.certified
+        assert report.points.shape == (919, 2)
+        assert peak <= 4 * 8 * max(sizes) ** 2
+
+    def test_planar_size_fixes_its_shape(self):
+        # fixed-span lattices are reused by (size, planar?): the grid
+        # m1 = isqrt(k), m2 = k // m1 of m1 * m2 points is rebuilt from its size
+        ks = np.arange(4, 100_001)
+        m1 = np.array([math.isqrt(k) for k in ks.tolist()])
+        size = m1 * (ks // m1)
+        again = np.array([math.isqrt(n) for n in size.tolist()])
+        np.testing.assert_array_equal(again, m1)
+        np.testing.assert_array_equal(size // again, ks // m1)
 
 
 @pytest.mark.parametrize("seed", range(20))
