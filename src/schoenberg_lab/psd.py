@@ -44,8 +44,7 @@ _BOX_HALFWIDTH = 3.0
 _BATCH_CAP = 4
 
 # certify_psd evaluates the configurations of a batch whose point counts k
-# share ceil(k / _SIZE_CLASS) as one stack, lattices and box draws apart;
-# not part of the stream.
+# share ceil(k / _SIZE_CLASS) as one stack; not part of the stream.
 _SIZE_CLASS = 8
 
 
@@ -157,6 +156,8 @@ def _screen(gram: np.ndarray, floor: float, sizes) -> np.ndarray:
     G alone, so the bound above holds with the member's own k. The shift is
     made in a copy; ``gram`` is left as it is. The bound ignores underflow,
     so a member with eps s below the smallest normal float never passes.
+    Before any minimum exists ``floor`` is +inf, so tau is too and nothing
+    passes; the padded diagonal is left unshifted, not shifted by 0 * inf.
 
     One factorization judges the whole stack: the gufunc under
     ``np.linalg.cholesky`` returns a member it cannot factor as NaN, where
@@ -167,7 +168,7 @@ def _screen(gram: np.ndarray, floor: float, sizes) -> np.ndarray:
     tau = floor + 4 * k * (k + 1) * _EPS * scale
     rows = np.arange(gram.shape[-1])
     shifted = gram.copy()
-    shifted[:, rows, rows] -= tau[:, None] * (rows < k[:, None])
+    shifted[:, rows, rows] -= np.where(rows < k[:, None], tau[:, None], 0.0)
     with np.errstate(invalid="ignore"):  # raised for the NaN of a failing member
         factor = _cholesky_lo(shifted, signature="d->d")
     return (_EPS * scale >= np.finfo(float).tiny) & ~np.isnan(factor[:, 0, 0])
@@ -177,33 +178,23 @@ def _solve_stack(profile: RadialProfile, f0: float, tol: float, floor: float,
                  points: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_min, refutes) arrays for a (B, K, n) stack of configurations,
     member b being its first ``sizes[b]`` points. lambda_min is NaN where a
-    member leaves a tabulated profile's domain, and inf where ``_screen``
-    passes it against a finite ``floor``.
+    member's computed diameter exceeds a tabulated profile's t_max, and inf
+    where ``_screen`` places it above ``floor``.
 
     A member is padded to K points by repeats of its first point; that moves
-    no coordinate range and no diameter. Each Gram matrix G is embedded as
-    [[G, 0], [0, f0 I]]. Those that the screen does not pass are
-    eigen-solved unpadded, one stack per point count, so each lambda_min is
-    what eigen-solving G alone gives.
+    no diameter. Each Gram matrix G is embedded as [[G, 0], [0, f0 I]].
+    Those that the screen does not pass are eigen-solved unpadded, one stack
+    per point count, so each lambda_min is what eigen-solving G alone gives.
     """
     lam = np.full(len(points), np.nan)
     refutes = np.zeros(len(points), dtype=bool)
-    members = slice(None)  # the stack positions still evaluated
+    dist = _distances(points)
+    members = slice(None)  # the stack positions in the profile's domain
     if profile.t_max is not None:
-        # A coordinate range r above t_max (1 + 4 eps) gives a computed
-        # distance >= r (1 - eps) > t_max (r^2 is a normal float for r above
-        # 1e-150), so those configurations leave the domain before any
-        # distance work; the rest stay by their computed diameter.
-        limit = max(profile.t_max * (1.0 + 4.0 * _EPS), 1e-150)
-        near = np.ptp(points, axis=1).max(axis=1) <= limit
-        dist = _distances(points[near])
-        fits = dist.max(axis=(1, 2), initial=0.0) <= profile.t_max
-        dist, sizes = dist[fits], sizes[near][fits]
-        members = np.flatnonzero(near)[fits]
-        if not len(sizes):
+        members = np.flatnonzero(dist.max(axis=(1, 2)) <= profile.t_max)
+        dist, sizes = dist[members], sizes[members]
+        if not len(members):
             return lam, refutes
-    else:
-        dist = _distances(points)
     gram = np.asarray(profile.fn(dist), dtype=float)
     del dist
     rows = np.arange(points.shape[1])
@@ -213,7 +204,7 @@ def _solve_stack(profile: RadialProfile, f0: float, tol: float, floor: float,
     gram[:, rows, rows] = f0
     low = np.full(len(gram), np.inf)
     bad = np.zeros(len(gram), dtype=bool)
-    unsure = ~_screen(gram, floor, sizes) if floor < np.inf else np.ones(len(gram), bool)
+    unsure = ~_screen(gram, floor, sizes)
     for k in np.flatnonzero(np.bincount(sizes[unsure])).tolist():
         group = np.flatnonzero(unsure & (sizes == k))
         eigvals = np.linalg.eigvalsh(gram[group, :k, :k])
@@ -243,20 +234,19 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     box points of all its trials as arrays from one substream keyed by
     (seed, c). The search draws chunks in batches of 1, 2, 4, 4, ... as far
     as it goes, and solves the batch's trials that are their own source
-    (below) in stacks keyed by lattice or box draw and by size class
-    ceil(k / 8), k the configuration's own point count; ``threads`` spreads
-    the stacks over worker threads. A batch is built as arrays: a box stack
-    is one ``take`` from the batch's box points, a lattice stack the unit
-    lattices of its trials' (m1, m2) times their spans, on min(dim, 2) axes:
-    the other coordinates are 0 and add exact zeros to every squared
-    distance, so only the points a report keeps are padded to dim. No array
-    is sized by k_max but one entry per lattice shape. Each stack takes one
-    distance, one profile and one Cholesky evaluation (``_solve_stack``).
-    From the second batch on, a Gram matrix is eigen-solved only when
+    (below) in stacks keyed by size class ceil(k / 8), k the configuration's
+    own point count; ``threads`` spreads the stacks over worker threads. One
+    builder gives every stack, and the points a report keeps, on all dim
+    axes: box rows are taken from the batch's box points, and a lattice is
+    the unit lattice of its trial's (m1, m2) times its span, with exact
+    zeros past axis 1. No array is sized by k_max but one entry per lattice
+    shape. Each stack takes one distance, one profile and one Cholesky
+    evaluation (``_solve_stack``). A Gram matrix is eigen-solved only when
     ``_screen`` cannot place it above max(minimum of the earlier batches,
-    -tol), where it could neither refute nor hold the minimum; it is then
-    solved unpadded, so every lambda_min is what solving its matrix alone
-    gives. Results are identical for any ``threads``.
+    -tol), where it could neither refute nor hold the minimum; in the first
+    batch that is every matrix. It is then solved unpadded, so every
+    lambda_min is what solving its matrix alone gives. Results are
+    identical for any ``threads``.
 
     Outcomes live in one table per call, keyed by trial index: lambda_min,
     whether it refutes, and the source trial whose outcome a trial reads,
@@ -270,8 +260,8 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     counts the trials that are their own source and were not skipped (the
     distinct Gram matrices evaluated, by eigensolve or by the screen),
     ``eigensolves`` those of them eigen-solved, and ``trials_skipped`` the
-    trials whose configuration left a tabulated profile's domain, which are
-    not evaluated.
+    trials whose configuration's computed diameter exceeds a tabulated
+    profile's t_max, which are not evaluated.
 
     A tabulated profile (``t_max`` set) can be refuted but never certified:
     certification in R^dim is a claim about f on [0, inf), and
@@ -330,20 +320,18 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         box_at = np.cumsum(ks * is_box) - ks * is_box  # a box trial's first row of box
 
         def points_of(members):
-            """The (len(members), K, n) stack of the members' points, padded by
-            their first point; n is dim for box draws and min(dim, 2) for lattices."""
+            """The (len(members), K, dim) stack of the members' points, padded by
+            their first point: box rows from ``box``, lattices on axes 0 and 1."""
             n = npts[members]
             slots = np.arange(n.max())
             slots = slots * (slots < n[:, None])
-            if is_box[members[0]]:
-                return box.take(box_at[members][:, None] + slots, axis=0)
             grid = np.stack(np.divmod(slots, m1[members][:, None]), axis=-1)[..., :dim]
-            return grid * (1.0 / (m2[members] - 1))[:, None, None] * span[members][:, None, None]
-
-        def kept(i):
-            """Trial i of the batch's points on all dim axes, as a report keeps them."""
-            pts = points_of([i])[0]
-            return np.pad(pts, ((0, 0), (0, dim - pts.shape[1])))
+            pts = np.zeros(slots.shape + (dim,))
+            pts[..., :grid.shape[-1]] = (grid * (1.0 / (m2[members] - 1))[:, None, None]
+                                         * span[members][:, None, None])
+            drawn = is_box[members]
+            pts[drawn] = box.take(box_at[members][drawn][:, None] + slots[drawn], axis=0)
+            return pts
 
         # A fixed-span lattice reads the first trial of its shape, keyed by
         # (size, planar?): a planar grid's size fixes its m1.
@@ -351,12 +339,12 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         np.minimum.at(first, shape, trial[fixed])
         source[trial[fixed]] = first[shape]
 
-        # Solve the trials that are their own source, in stacks keyed by (box?,
-        # size class). Distinct keys are found by counting, not sorting:
-        # np.unique here raised a certify call's peak RSS by 1.6-2 MB, the
-        # numpy sort code it pages in.
+        # Solve the trials that are their own source, in stacks keyed by size
+        # class. Distinct keys are found by counting, not sorting: np.unique
+        # here raised a certify call's peak RSS by 1.6-2 MB, the numpy sort
+        # code it pages in.
         todo = np.flatnonzero(source[trial] == trial)
-        stack_of = (2 * -(-npts // _SIZE_CLASS) + is_box)[todo]
+        stack_of = -(-npts[todo] // _SIZE_CLASS)
         stacks = [todo[stack_of == key] for key in np.flatnonzero(np.bincount(stack_of))]
         solved = parallel_map(
             lambda s: _solve_stack(profile, f0, tol, floor, points_of(stacks[s]),
@@ -373,9 +361,9 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         seen = np.where(np.isnan(seen), np.inf, seen)  # a skipped trial holds no minimum
         best = int(np.argmin(seen))
         if seen[best] < global_min:
-            global_min, global_min_pts = float(seen[best]), kept(best)
+            global_min, global_min_pts = float(seen[best]), points_of([best])[0]
         if len(hits):
-            trials_run, refutation = start + run, kept(run - 1)
+            trials_run, refutation = start + run, points_of([run - 1])[0]
 
     # The counters, read from the table over the trials run.
     own = lam[:trials_run][source[:trials_run] == np.arange(trials_run)]

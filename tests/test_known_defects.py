@@ -59,3 +59,24 @@ def test_compact_support_not_certified_above_its_dimension(fn, dim):
     report = certify_psd(RadialProfile("compact", fn), dim=dim, trials=2000, k_max=64,
                          seed=1938)
     assert not report.certified
+
+
+@known("ROADMAP item 24: spans and box are in absolute units; (1 - t/c)+ outside "
+       "[~0.2, ~6] reads certified in R^2")
+@pytest.mark.parametrize("c", [8.0, 0.01])
+def test_scaled_triangle_not_certified_in_the_plane(c):
+    # (1 - t/c)+ is outside Phi_2 for every c > 0; at c = 1 certify refutes it
+    report = certify_psd(RadialProfile("triangle", lambda t: np.maximum(0.0, 1.0 - t / c)),
+                         dim=2, trials=2000, k_max=64, seed=1938)
+    assert not report.certified
+
+
+@known("ROADMAP item 24: cm-check's u window [0.1, 4] is fixed; (1 - t/10)+ passes")
+def test_cm_check_rejects_a_scaled_triangle_csv(capsys, tmp_path):
+    # 401 nodes on [0, 10], 400 more on (10, 20]; the same table at c = 1
+    # (kink at u = 1) exits 2
+    t = np.concatenate([np.linspace(0.0, 10.0, 401), np.linspace(10.0, 20.0, 401)[1:]])
+    f = np.maximum(0.0, 1.0 - t / 10.0)
+    path = tmp_path / "triangle_10.csv"
+    path.write_text("t,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), f.tolist())))
+    assert exit_code(capsys, "cm-check", str(path)) == 2

@@ -306,12 +306,11 @@ def test_stacked_cholesky_returns_a_failing_member_as_nan():
 
 
 @pytest.mark.parametrize("t_max", [0.7, 1.0, 3.3])
-def test_prefilter_keeps_what_the_diameter_test_keeps(monkeypatch, t_max):
-    # Coordinate ranges from 6 ulps below t_max to past the prefilter's
-    # limit t_max (1 + 4 eps), on one axis, or with a second-axis offset
-    # that lifts the diameter a few ulps above the range. A configuration is
-    # skipped exactly when its computed diameter exceeds t_max, and only
-    # those past the limit skip the distance work.
+def test_domain_rule_is_the_computed_diameter(t_max):
+    # Coordinate ranges from 6 ulps below t_max to 16 ulps above it, on one
+    # axis, or with a second-axis offset that lifts the diameter a few ulps
+    # above the range. A configuration is skipped exactly when its computed
+    # diameter exceeds t_max, also where every coordinate range fits.
     t = np.linspace(0.0, t_max, 11)
     profile = tabulated_profile(t, 1.0 - 0.5 * t / t_max)
     ranges = [t_max]
@@ -323,25 +322,16 @@ def test_prefilter_keeps_what_the_diameter_test_keeps(monkeypatch, t_max):
     for r in ranges:
         configs.append(np.array([[0.0, 0.0, 0.0], [r, 0.0, 0.0]]))
         configs.append(np.array([[0.0, 0.0, 0.0], [0.5 * r, 0.0, 0.0], [r, 3e-8, 0.0]]))
-    distanced = []
-    distances = psd._distances
-
-    def recording(points):
-        distanced.append(len(points))
-        return distances(points)
-
-    monkeypatch.setattr(psd, "_distances", recording)
     sizes = np.array([len(pts) for pts in configs])
     points = np.stack([pts[[*range(len(pts)), *[0] * (3 - len(pts))]] for pts in configs])
     lam, refutes = psd._solve_stack(profile, 1.0, 1e-8, np.inf, points, sizes)
     results = [None if np.isnan(v) else (v, r) for v, r in zip(lam, refutes)]
-    diameters = [distances(pts).max() for pts in configs]
+    diameters = [psd._distances(pts).max() for pts in configs]
     assert [r is None for r in results] == [d > t_max for d in diameters]
-    limit = t_max * (1 + 4 * np.finfo(float).eps)
-    assert distanced == [sum(np.ptp(pts, axis=0).max() <= limit for pts in configs)]
     skipped = sum(r is None for r in results)
     assert 0 < skipped < len(configs)
-    assert distanced[0] > len(configs) - skipped  # some were skipped by their diameter
+    assert any(r is None and np.ptp(pts, axis=0).max() <= t_max
+               for r, pts in zip(results, configs))
 
 
 class TestCertify:
@@ -473,6 +463,19 @@ class TestCertify:
                                            k_max=64, seed=1938)
         assert report.verdict == "inconclusive"
 
+    @pytest.mark.parametrize("dim, skipped", [(3, 235), (5, 253)])
+    def test_skips_match_oracle_beyond_the_plane(self, dim, skipped):
+        # lattices (zeros past axis 1) and box draws (dim axes) share one
+        # stack per size class; both kinds land in the domain [0, 6]
+        t = np.linspace(0.0, 6.0, 601)
+        report = self.check_against_oracle(tabulated_profile(t, np.exp(-t)), dim=dim,
+                                           trials=500, k_max=24, seed=3)
+        assert report.verdict == "inconclusive"
+        assert report.trials_skipped == skipped
+        inside = {i % _N_KINDS for i, pts in enumerate(oracle_configurations(dim, 500, 24, 3))
+                  if np.linalg.norm(pts[:, None] - pts[None], axis=-1).max() <= 6.0}
+        assert _KIND_RANDOM_BOX in inside and inside - {_KIND_RANDOM_BOX}
+
     def test_all_skipped_matches_oracle(self):
         # no configuration fits in [0, 0.01]
         report = self.check_against_oracle(tabulated_profile([0.0, 0.01], [1.0, 0.99]), dim=2,
@@ -508,7 +511,7 @@ class TestCertify:
         return report
 
     def test_refutation_matches_oracle(self):
-        # refutes in the first batch, before any screen
+        # refutes in the first batch, whose screen passes nothing
         self.check_refutation(catalog_profile("triangle"), dim=2, trials=500, tol=1e-8, seed=7)
 
     @pytest.mark.parametrize("case, trials, tol, seed", [
@@ -606,15 +609,14 @@ class TestCertify:
         # A call holds no array sized by k_max, only the Gram matrices of the
         # configurations it draws. At k_max 1500 the four trials draw 756,
         # 484, 544 and 919 points, each alone in its stack (their size
-        # classes differ), and the first batch is not screened. Solving a
-        # stack of one k-point configuration holds at most two k x k arrays
-        # at once: the distances and the squared differences, then the Gram
-        # matrix and eigvalsh's copy of it. Bound: twice that, four k x k
-        # arrays of the largest k (27 MB; a table of every unit lattice up
-        # to k_max took 118 MB).
+        # classes differ). Solving a stack of one k-point configuration holds
+        # at most three k x k arrays at once: the Gram matrix with the
+        # screen's shifted copy and Cholesky factor of it (the distances and
+        # squared differences, and the Gram matrix and eigvalsh's copy, come
+        # two at a time). Bound: four k x k arrays of the largest k (27 MB; a
+        # table of every unit lattice up to k_max took 118 MB).
         sizes = [len(pts) for pts in oracle_configurations(2, 4, 1500, 1)]
-        assert len({(-(-k // _SIZE_CLASS), i % _N_KINDS == _KIND_RANDOM_BOX)
-                    for i, k in enumerate(sizes)}) == len(sizes)
+        assert len({-(-k // _SIZE_CLASS) for k in sizes}) == len(sizes)
         tracemalloc.start()
         try:
             report = certify_psd(catalog_profile("gaussian"), dim=2, trials=4, k_max=1500,
