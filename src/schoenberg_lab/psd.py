@@ -38,10 +38,15 @@ _CHUNK = 64
 _BOX_HALFWIDTH = 3.0
 
 # Most chunks certify_psd solves at once; not part of the stream. It bounds
-# the memory a batch holds. Uncapped doubling measured -15.7% certify-sweep
-# wall_s and +2.85 MB peak RSS, a gain the benchmark's paired runs did not
-# confirm.
-_BATCH_CAP = 4
+# the memory a batch holds. 8 measured faster than 4; 16, or no cap, measured
+# no faster than 8 and held ~3 MB more peak RSS.
+_BATCH_CAP = 8
+
+# Most bytes one configuration's arrays may take: solving a stack of one
+# k-point configuration holds at most three k x k float arrays at once, and
+# the certify command refuses a --kmax with 3 * 8 * k_max**2 above this
+# before the first draw (--kmax 6688 at most; 1500 needs 54 MB).
+CONFIG_BYTES = 2**30
 
 # certify_psd evaluates the configurations of a batch whose point counts k
 # share ceil(k / _SIZE_CLASS) as one stack; not part of the stream.
@@ -154,10 +159,10 @@ def _screen(gram: np.ndarray, floor: float, sizes) -> np.ndarray:
     factor is block diagonal too, exactly: every inner product that forms an
     entry of its leading block adds exact zeros to the <= k terms it has for
     G alone, so the bound above holds with the member's own k. The shift is
-    made in a copy; ``gram`` is left as it is. The bound ignores underflow,
-    so a member with eps s below the smallest normal float never passes.
-    Before any minimum exists ``floor`` is +inf, so tau is too and nothing
-    passes; the padded diagonal is left unshifted, not shifted by 0 * inf.
+    made in a copy, which the factorization overwrites, so the screen holds
+    one array of the stack's size; ``gram`` is left as it is. The bound
+    ignores underflow, so a member with eps s below the smallest normal
+    float never passes.
 
     One factorization judges the whole stack: the gufunc under
     ``np.linalg.cholesky`` returns a member it cannot factor as NaN, where
@@ -170,8 +175,8 @@ def _screen(gram: np.ndarray, floor: float, sizes) -> np.ndarray:
     shifted = gram.copy()
     shifted[:, rows, rows] -= np.where(rows < k[:, None], tau[:, None], 0.0)
     with np.errstate(invalid="ignore"):  # raised for the NaN of a failing member
-        factor = _cholesky_lo(shifted, signature="d->d")
-    return (_EPS * scale >= np.finfo(float).tiny) & ~np.isnan(factor[:, 0, 0])
+        _cholesky_lo(shifted, signature="d->d", out=shifted)
+    return (_EPS * scale >= np.finfo(float).tiny) & ~np.isnan(shifted[:, 0, 0])
 
 
 def _solve_stack(profile: RadialProfile, f0: float, tol: float, floor: float,
@@ -179,7 +184,8 @@ def _solve_stack(profile: RadialProfile, f0: float, tol: float, floor: float,
     """(lambda_min, refutes) arrays for a (B, K, n) stack of configurations,
     member b being its first ``sizes[b]`` points. lambda_min is NaN where a
     member's computed diameter exceeds a tabulated profile's t_max, and inf
-    where ``_screen`` places it above ``floor``.
+    where ``_screen`` places it above ``floor``. With ``floor`` +inf no
+    member can pass, and the screen is not run.
 
     A member is padded to K points by repeats of its first point; that moves
     no diameter. Each Gram matrix G is embedded as [[G, 0], [0, f0 I]].
@@ -204,7 +210,7 @@ def _solve_stack(profile: RadialProfile, f0: float, tol: float, floor: float,
     gram[:, rows, rows] = f0
     low = np.full(len(gram), np.inf)
     bad = np.zeros(len(gram), dtype=bool)
-    unsure = ~_screen(gram, floor, sizes)
+    unsure = np.ones(len(gram), dtype=bool) if floor == np.inf else ~_screen(gram, floor, sizes)
     for k in np.flatnonzero(np.bincount(sizes[unsure])).tolist():
         group = np.flatnonzero(unsure & (sizes == k))
         eigvals = np.linalg.eigvalsh(gram[group, :k, :k])
@@ -232,8 +238,8 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
 
     Trials come in chunks of 64. Chunk c draws the point counts, spans and
     box points of all its trials as arrays from one substream keyed by
-    (seed, c). The search draws chunks in batches of 1, 2, 4, 4, ... as far
-    as it goes, and solves the batch's trials that are their own source
+    (seed, c). The search draws chunks in batches of 1, 2, 4, 8, 8, ... as
+    far as it goes, and solves the batch's trials that are their own source
     (below) in stacks keyed by size class ceil(k / 8), k the configuration's
     own point count; ``threads`` spreads the stacks over worker threads. One
     builder gives every stack, and the points a report keeps, on all dim
@@ -242,11 +248,16 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     zeros past axis 1. No array is sized by k_max but one entry per lattice
     shape. Each stack takes one distance, one profile and one Cholesky
     evaluation (``_solve_stack``). A Gram matrix is eigen-solved only when
-    ``_screen`` cannot place it above max(minimum of the earlier batches,
-    -tol), where it could neither refute nor hold the minimum; in the first
-    batch that is every matrix. It is then solved unpadded, so every
-    lambda_min is what solving its matrix alone gives. Results are
-    identical for any ``threads``.
+    ``_screen`` cannot place it above max(m, -tol), where it could neither
+    refute nor hold the minimum. A batch solves its largest size class
+    first, with m the minimum of the earlier batches (+inf before the
+    first, where the screen is not run), then its other stacks with m the
+    lower of that and the largest stack's minimum. That is sound for any m
+    the search computed: if m's trial is counted, a matrix above m is not
+    the minimum, and if it comes after the batch's first refuting trial,
+    that refuter is below -tol. A matrix the screen does not pass is solved
+    unpadded, so every lambda_min is what solving its matrix alone gives.
+    Results are identical for any ``threads``.
 
     Outcomes live in one table per call, keyed by trial index: lambda_min,
     whether it refutes, and the source trial whose outcome a trial reads,
@@ -261,7 +272,8 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     distinct Gram matrices evaluated, by eigensolve or by the screen),
     ``eigensolves`` those of them eigen-solved, and ``trials_skipped`` the
     trials whose configuration's computed diameter exceeds a tabulated
-    profile's t_max, which are not evaluated.
+    profile's t_max, which are not evaluated. Those whose range along one
+    axis already exceeds t_max are dropped before any stack is built.
 
     A tabulated profile (``t_max`` set) can be refuted but never certified:
     certification in R^dim is a claim about f on [0, inf), and
@@ -293,7 +305,7 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     n_chunks = -(-trials // _CHUNK)
     drawn, size = 0, 1
     while drawn < n_chunks and refutation is None:
-        floor = max(global_min, -tol)  # set before any worker runs; inf in the first batch
+        floor = max(global_min, -tol)  # inf in the first batch
         draws = []  # (point counts, spans, box points) per chunk
         for chunk in range(drawn, min(drawn + size, n_chunks)):
             n = min(_CHUNK, trials - chunk * _CHUNK)
@@ -339,19 +351,40 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         np.minimum.at(first, shape, trial[fixed])
         source[trial[fixed]] = first[shape]
 
-        # Solve the trials that are their own source, in stacks keyed by size
-        # class. Distinct keys are found by counting, not sorting: np.unique
-        # here raised a certify call's peak RSS by 1.6-2 MB, the numpy sort
-        # code it pages in.
+        # Solve the trials that are their own source, less those a tabulated
+        # profile's domain rule would skip for their range along one axis:
+        # a lattice's is its far corner, computed as points_of computes it, a
+        # box draw's its rows' max minus min. The computed diameter is at
+        # least any computed axis range: a sum of squares rounds no lower
+        # than one of its terms, and sqrt(fl(d^2)) = |d| unless d^2
+        # underflows, hence the 1e-150.
         todo = np.flatnonzero(source[trial] == trial)
+        if profile.t_max is not None:
+            reach = (m2 - 1) * (1.0 / (m2 - 1)) * span
+            starts = box_at[is_box]
+            reach[is_box] = (np.maximum.reduceat(box, starts)
+                             - np.minimum.reduceat(box, starts)).max(axis=1)
+            todo = todo[reach[todo] <= max(profile.t_max, 1e-150)]
+
+        # Stacks are keyed by size class. Distinct keys are found by counting,
+        # not sorting: np.unique here raised a certify call's peak RSS by
+        # 1.6-2 MB, the numpy sort code it pages in.
         stack_of = -(-npts[todo] // _SIZE_CLASS)
         stacks = [todo[stack_of == key] for key in np.flatnonzero(np.bincount(stack_of))]
-        solved = parallel_map(
-            lambda s: _solve_stack(profile, f0, tol, floor, points_of(stacks[s]),
-                                   npts[stacks[s]]),
-            len(stacks), threads)
-        for members, (stack_lam, stack_refutes) in zip(stacks, solved):
-            lam[trial[members]], refutes[trial[members]] = stack_lam, stack_refutes
+
+        def solve(group, floor):
+            solved = parallel_map(
+                lambda s: _solve_stack(profile, f0, tol, floor, points_of(group[s]),
+                                       npts[group[s]]),
+                len(group), threads)
+            for members, (stack_lam, stack_refutes) in zip(group, solved):
+                lam[trial[members]], refutes[trial[members]] = stack_lam, stack_refutes
+
+        # The largest size class first, then the others against its minimum
+        # too; lam holds NaN for the trials of todo not yet solved.
+        solve(stacks[-1:], floor)
+        lowest = np.fmin.reduce(lam[trial[todo]], initial=np.inf)
+        solve(stacks[:-1], max(min(floor, lowest), -tol))
 
         # Read the outcomes in trial order, up to the first refuting trial.
         reads = source[trial]

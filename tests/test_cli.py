@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schoenberg_lab import catalog_profile, cli, definetti
+from schoenberg_lab import catalog_profile, cli, definetti, psd
 from schoenberg_lab.rng import ROLE_LHS, ROLE_RHS, STREAM_VERSION
 
 
@@ -46,17 +46,17 @@ class TestCertify:
 
     @pytest.mark.parametrize(
         "argv, verdict, min_eigenvalue, run, skipped, solved, form, eigensolves", [
-            ("gaussian --dim 5", "certified", -5.1521541309533e-15, 2000, 0, 1082, None, 181),
+            ("gaussian --dim 5", "certified", -5.1521541309533e-15, 2000, 0, 1082, None, 147),
             ("exp-mixture --dim 3", "certified", -1.556329347823286e-15, 2000, 0, 1082, None,
-             95),
-            ("cauchy --dim 2", "certified", 0.007682396812971664, 2000, 0, 1082, None, 55),
+             52),
+            ("cauchy --dim 2", "certified", 0.007682396812971664, 2000, 0, 1082, None, 11),
             ("gaussian --dim 8 --kmax 12 --trials 1000", "certified", 2.2174448873699824e-09,
-             1000, 0, 516, None, 49),
+             1000, 0, 516, None, 21),
             ("exp-mixture --dim 1 --kmax 12 --trials 1000", "certified",
-             -1.8822096729591637e-17, 1000, 0, 511, None, 48),
+             -1.8822096729591637e-17, 1000, 0, 511, None, 24),
             ("triangle --dim 2", "refuted", -0.0398176996429786, 13, 0, 12,
-             -0.03981769964297856, 12),
-            ("TABLE --dim 2", "inconclusive", 0.031607373466349765, 2000, 1977, 23, None, 6),
+             -0.03981769964297856, 6),
+            ("TABLE --dim 2", "inconclusive", 0.031607373466349765, 2000, 1977, 23, None, 4),
         ])
     def test_sweep_reports_are_pinned(self, capsys, tmp_path, argv, verdict, min_eigenvalue,
                                       run, skipped, solved, form, eigensolves):
@@ -80,6 +80,20 @@ class TestCertify:
         # which matrices the screen passes: a screen that decides one
         # differently moves this count even when no result moves
         assert results["eigensolves"] == eigensolves
+
+    def test_kmax_past_one_configurations_limit_is_a_usage_error(self, capsys, monkeypatch):
+        # one configuration of k_max points holds three k_max x k_max float
+        # arrays; past psd.CONFIG_BYTES the run is refused before any draw
+        monkeypatch.setattr(psd, "certify_psd", None)  # not reached
+        for kmax in ("6689", "100000"):
+            code, payload, err = run_cli(capsys, "certify", "gaussian", "--kmax", kmax)
+            assert (code, payload) == (1, None)
+            assert err.startswith(f"error: --kmax {kmax} ") and str(psd.CONFIG_BYTES) in err
+        monkeypatch.undo()
+        assert 3 * 8 * 6688**2 <= psd.CONFIG_BYTES
+        code, payload, _ = run_cli(capsys, "certify", "gaussian", "--dim", "1", "--kmax", "1500",
+                                   "--trials", "1", "--seed", "1")
+        assert code == 0 and payload["config"]["kmax"] == 1500
 
     def test_triangle_dim2_refuted_with_witness(self, capsys):
         code, payload, _ = run_cli(capsys, "certify", "triangle", "--dim", "2",
@@ -406,8 +420,8 @@ class TestSeedPolicy:
         assert payload["config"]["threads"] == 2
 
 
-# 600 trials are 10 chunks: batches of 1, 2, 4 and 3 chunks, so the
-# Cholesky screen runs on three of them
+# 600 trials are 10 chunks: batches of 1, 2, 4 and 3 chunks, and the
+# Cholesky screen runs in each (in the first, past its largest stack)
 CERTIFY_SCREENED = ("certify", "gaussian", "--dim", "5", "--trials", "600", "--seed", "42")
 
 

@@ -303,6 +303,11 @@ def test_stacked_cholesky_returns_a_failing_member_as_nan():
     assert np.isnan(factor[1]).all()
     for i in (0, 2):
         assert factor[i].tobytes() == np.linalg.cholesky(stack[i]).tobytes()
+    # and it factors in place, bit for bit, which the screen relies on to
+    # hold one copy of a stack, not two
+    with np.errstate(invalid="ignore"):
+        assert cholesky_lo(stack, signature="d->d", out=stack) is stack
+    assert np.array_equal(stack, factor, equal_nan=True)
 
 
 @pytest.mark.parametrize("t_max", [0.7, 1.0, 3.3])
@@ -332,6 +337,76 @@ def test_domain_rule_is_the_computed_diameter(t_max):
     assert 0 < skipped < len(configs)
     assert any(r is None and np.ptp(pts, axis=0).max() <= t_max
                for r, pts in zip(results, configs))
+
+
+def report_fields(report):
+    """Every field of a PsdReport but ``eigensolves``, arrays as bytes."""
+    fields = {name: getattr(report, name) for name in psd.PsdReport.__dataclass_fields__
+              if name != "eigensolves"}
+    fields["points"] = (fields["points"].shape, fields["points"].tobytes())
+    fields["min_eigenvalue"] = np.float64(fields["min_eigenvalue"]).tobytes()  # NaN too
+    if report.witness is not None:
+        fields["witness"] = (report.witness[0].tobytes(), report.witness[1])
+    return fields
+
+
+def table(fn, t_max, nodes):
+    t = np.linspace(0.0, t_max, nodes)
+    return tabulated_profile(t, fn(t))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1938])
+@pytest.mark.parametrize("profile, dim, trials, k_max", [
+    ("gaussian", 5, 2000, 64),
+    ("cauchy", 2, 700, 40),
+    (("exp", lambda t: np.exp(-t), 6.0, 601), 3, 500, 24),
+    (("triangle", lambda t: 1.0 - t, 1.0, 101), 2, 2000, 64),
+    ("triangle", 2, 500, 64),  # refuted in the first batch
+    # the Gaussian at 101 nodes on [0, 1], whose PCHIP interpolant is not PD
+    # in R^2: refuted in a later batch
+    (("pchip-gaussian", lambda t: np.exp(-t * t / 2), 1.0, 101), 2, 2000, 64),
+], ids=lambda v: v if isinstance(v, str) else v[0] if isinstance(v, tuple) else None)
+def test_schedule_moves_no_result(monkeypatch, profile, dim, trials, k_max, seed):
+    # Each batch solves its largest size class first and screens the others
+    # against its minimum too. Reference: a screen that passes nothing, so
+    # every configuration is eigen-solved. Only eigensolves may differ, and
+    # it may not differ between thread counts.
+    profile = catalog_profile(profile) if isinstance(profile, str) else table(*profile[1:])
+    reports = [certify_psd(profile, dim, trials, k_max, seed=seed, threads=n) for n in (1, 3)]
+    monkeypatch.setattr(psd, "_screen", lambda gram, floor, sizes: np.zeros(len(gram), bool))
+    reference = certify_psd(profile, dim, trials, k_max, seed=seed)
+    assert reference.eigensolves == reference.configurations_solved
+    for report in reports:
+        assert report_fields(report) == report_fields(reference)
+        assert report.eigensolves == reports[0].eigensolves <= reference.eigensolves
+
+
+@pytest.mark.parametrize("dim, trials, k_max, seed", [(3, 300, 64, 1938), (1, 300, 64, 1)])
+def test_prefilter_drops_only_trials_off_the_table(monkeypatch, dim, trials, k_max, seed):
+    # t_max one ulp below 6: a fixed-span axis lattice of 50 points has its
+    # far corner at (49 * (1/49)) * 6, which computes to t_max itself; that
+    # tie is kept and evaluated, where a corner at 6 is dropped
+    t_max = float(np.nextafter(6.0, 0.0))
+    assert (50 - 1) * (1.0 / (50 - 1)) * 6.0 == t_max
+    profile = table(lambda t: np.exp(-t), t_max, 601)
+    stacked = set()
+    solve_stack = psd._solve_stack
+
+    def recording(profile, f0, tol, floor, points, sizes):
+        stacked.update(pts[:k].tobytes() for pts, k in zip(points, sizes))
+        return solve_stack(profile, f0, tol, floor, points, sizes)
+
+    monkeypatch.setattr(psd, "_solve_stack", recording)
+    report = certify_psd(profile, dim=dim, trials=trials, k_max=k_max, seed=seed)
+    configs = oracle_configurations(dim, trials, k_max, seed)
+    diameter = {pts.tobytes(): psd._distances(pts).max() for pts in configs}
+    dropped = diameter.keys() - stacked
+    assert dropped and all(diameter[key] > t_max for key in dropped)
+    # on the line a diameter is an axis range; off it, the diameter rule skips more
+    assert any(diameter[key] > t_max for key in stacked) == (dim > 1)
+    assert any(diameter[key] == t_max for key in stacked)  # the tie
+    assert report.verdict == "inconclusive"
+    assert report.trials_skipped == sum(diameter[pts.tobytes()] > t_max for pts in configs)
 
 
 class TestCertify:
@@ -374,7 +449,7 @@ class TestCertify:
         assert report.certified
 
     def test_deterministic_and_thread_invariant(self):
-        # the Gaussian's 1000 trials (16 chunks) span six batches, so the screen runs
+        # the Gaussian's 1000 trials (16 chunks) span five batches, so the screen runs
         for pid, trials in (("triangle", 200), ("gaussian", 1000)):
             f = catalog_profile(pid)
             a = certify_psd(f, dim=2, trials=trials, k_max=40, seed=12, threads=1)
@@ -511,7 +586,7 @@ class TestCertify:
         return report
 
     def test_refutation_matches_oracle(self):
-        # refutes in the first batch, whose screen passes nothing
+        # refutes in the first batch, whose largest stack is not screened
         self.check_refutation(catalog_profile("triangle"), dim=2, trials=500, tol=1e-8, seed=7)
 
     @pytest.mark.parametrize("case, trials, tol, seed", [
@@ -610,11 +685,12 @@ class TestCertify:
         # configurations it draws. At k_max 1500 the four trials draw 756,
         # 484, 544 and 919 points, each alone in its stack (their size
         # classes differ). Solving a stack of one k-point configuration holds
-        # at most three k x k arrays at once: the Gram matrix with the
-        # screen's shifted copy and Cholesky factor of it (the distances and
-        # squared differences, and the Gram matrix and eigvalsh's copy, come
-        # two at a time). Bound: four k x k arrays of the largest k (27 MB; a
-        # table of every unit lattice up to k_max took 118 MB).
+        # at most two k x k arrays at once: the distances and squared
+        # differences, the Gram matrix and eigvalsh's copy, or the Gram
+        # matrix and the screen's shifted copy, which Cholesky overwrites;
+        # the 919-point stack is solved first, at floor +inf, unscreened.
+        # Bound: three k x k arrays of the largest k (20.3 MB; measured
+        # 14.5 MB; a table of every unit lattice up to k_max took 118 MB).
         sizes = [len(pts) for pts in oracle_configurations(2, 4, 1500, 1)]
         assert len({-(-k // _SIZE_CLASS) for k in sizes}) == len(sizes)
         tracemalloc.start()
@@ -626,7 +702,7 @@ class TestCertify:
             tracemalloc.stop()
         assert report.certified
         assert report.points.shape == (919, 2)
-        assert peak <= 4 * 8 * max(sizes) ** 2
+        assert peak <= 3 * 8 * max(sizes) ** 2
 
     def test_planar_size_fixes_its_shape(self):
         # fixed-span lattices are reused by (size, planar?): the grid
