@@ -9,7 +9,6 @@ quadratic form is negative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,7 +238,7 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     Trials come in chunks of 64. Chunk c draws the point counts, spans and
     box points of all its trials as arrays from one substream keyed by
     (seed, c). The search draws chunks in batches of 1, 2, 4, 8, 8, ... as
-    far as it goes, and solves the batch's trials that are their own source
+    far as it goes, and solves the batch's trials that are not repeats
     (below) in stacks keyed by size class ceil(k / 8), k the configuration's
     own point count; ``threads`` spreads the stacks over worker threads. One
     builder gives every stack, and the points a report keeps, on all dim
@@ -259,16 +258,15 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     unpadded, so every lambda_min is what solving its matrix alone gives.
     Results are identical for any ``threads``.
 
-    Outcomes live in one table per call, keyed by trial index: lambda_min,
-    whether it refutes, and the source trial whose outcome a trial reads,
-    itself for a scaled lattice or a box draw. A fixed-span lattice depends
-    on its shape alone, which its size and whether m1 > 1 fix (a planar
-    grid of size s has m1 = floor(sqrt(s))): its source is the first trial
-    of its shape, so it is evaluated once per call. A batch writes
-    the outcomes it solved into the table, then reads its trials' sources in
-    trial order; the first refuting trial ends the search. The counters are
-    read from the table over the trials run: ``configurations_solved``
-    counts the trials that are their own source and were not skipped (the
+    Outcomes stay in their batch: lambda_min and whether it refutes, for at
+    most 512 trials. A fixed-span lattice depends on its shape alone, which
+    its size and whether m1 > 1 fix (a planar grid of size s has m1 =
+    floor(sqrt(s))): only the first trial of a shape is solved, so it is
+    evaluated once per call, and its repeats, the later trials of that
+    shape, read its lambda_min back from one entry per shape. A batch reads
+    its outcomes in trial order; the first refuting trial ends the search.
+    The counters add up batch by batch over the trials run:
+    ``configurations_solved`` counts the trials solved and not skipped (the
     distinct Gram matrices evaluated, by eigensolve or by the screen),
     ``eigensolves`` those of them eigen-solved, and ``trials_skipped`` the
     trials whose configuration's computed diameter exceeds a tabulated
@@ -293,19 +291,17 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
 
     f0 = float(profile(0.0))
     fixed_span = 2.0 * _BOX_HALFWIDTH
-    # The outcome table, keyed by trial index; trial i reads trial source[i].
-    lam = np.full(trials, np.nan)  # NaN until solved, or off a tabulated domain
-    refutes = np.zeros(trials, dtype=bool)
-    source = np.arange(trials)
-    first = np.full(2 * k_max + 2, trials)  # each lattice shape's first fixed-span trial so far
+    # Per lattice shape: its first fixed-span trial so far, and that trial's lambda_min.
+    first = np.full(2 * k_max + 2, trials)
+    shape_lam = np.full(2 * k_max + 2, np.nan)
 
-    global_min = np.inf
+    floor = global_min = np.inf  # floor: max(m, -tol), m the lowest lambda_min solved so far
     global_min_pts = None
     trials_run, refutation = trials, None  # refutation: the refuting trial's points
+    skipped = solved = eigensolves = 0
     n_chunks = -(-trials // _CHUNK)
     drawn, size = 0, 1
     while drawn < n_chunks and refutation is None:
-        floor = max(global_min, -tol)  # inf in the first batch
         draws = []  # (point counts, spans, box points) per chunk
         for chunk in range(drawn, min(drawn + size, n_chunks)):
             n = min(_CHUNK, trials - chunk * _CHUNK)
@@ -325,7 +321,8 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         is_box = kinds == _KIND_RANDOM_BOX
         fixed = (kinds == _KIND_LATTICE_2D) | (kinds == _KIND_LATTICE_1D)
         planar = (kinds != _KIND_LATTICE_1D) & (ks >= 4) & (dim > 1)
-        m1 = np.where(planar, [math.isqrt(k) for k in ks.tolist()], 1)
+        # floor(sqrt(k)): exact below 2**52, far past any k whose points fit in memory
+        m1 = np.where(planar, np.sqrt(ks).astype(ks.dtype), 1)
         m2 = ks // m1
         npts = np.where(is_box, ks, m1 * m2)
         span = np.where(kinds == _KIND_SCALED_LATTICE, spans, fixed_span)
@@ -345,20 +342,25 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
             pts[drawn] = box.take(box_at[members][drawn][:, None] + slots[drawn], axis=0)
             return pts
 
-        # A fixed-span lattice reads the first trial of its shape, keyed by
-        # (size, planar?): a planar grid's size fixes its m1.
-        shape = (2 * npts + (m1 > 1))[fixed]
-        np.minimum.at(first, shape, trial[fixed])
-        source[trial[fixed]] = first[shape]
+        # A fixed-span lattice depends on its shape alone, keyed by (size,
+        # planar?): a planar grid's size fixes its m1. Only the first trial of
+        # a shape is solved; its repeats read its lambda_min back. A repeat
+        # comes after its shape's first trial and has the same lambda_min, so
+        # it can be neither the first refuting trial nor a strictly new minimum.
+        shape = 2 * npts + (m1 > 1)
+        np.minimum.at(first, shape[fixed], trial[fixed])
+        own = ~fixed | (first[shape] == trial)
+        lam = np.full(len(ks), np.nan)  # NaN until solved, or off a tabulated domain
+        refutes = np.zeros(len(ks), dtype=bool)
 
-        # Solve the trials that are their own source, less those a tabulated
-        # profile's domain rule would skip for their range along one axis:
-        # a lattice's is its far corner, computed as points_of computes it, a
-        # box draw's its rows' max minus min. The computed diameter is at
-        # least any computed axis range: a sum of squares rounds no lower
-        # than one of its terms, and sqrt(fl(d^2)) = |d| unless d^2
-        # underflows, hence the 1e-150.
-        todo = np.flatnonzero(source[trial] == trial)
+        # Solve the batch's own trials, less those a tabulated profile's
+        # domain rule would skip for their range along one axis: a lattice's
+        # is its far corner, computed as points_of computes it, a box draw's
+        # its rows' max minus min. The computed diameter is at least any
+        # computed axis range: a sum of squares rounds no lower than one of
+        # its terms, and sqrt(fl(d^2)) = |d| unless d^2 underflows, hence the
+        # 1e-150.
+        todo = np.flatnonzero(own)
         if profile.t_max is not None:
             reach = (m2 - 1) * (1.0 / (m2 - 1)) * span
             starts = box_at[is_box]
@@ -372,25 +374,25 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         stack_of = -(-npts[todo] // _SIZE_CLASS)
         stacks = [todo[stack_of == key] for key in np.flatnonzero(np.bincount(stack_of))]
 
-        def solve(group, floor):
-            solved = parallel_map(
+        # The largest size class first, then the others against its minimum too.
+        for group in (stacks[-1:], stacks[:-1]):
+            results = parallel_map(
                 lambda s: _solve_stack(profile, f0, tol, floor, points_of(group[s]),
                                        npts[group[s]]),
                 len(group), threads)
-            for members, (stack_lam, stack_refutes) in zip(group, solved):
-                lam[trial[members]], refutes[trial[members]] = stack_lam, stack_refutes
-
-        # The largest size class first, then the others against its minimum
-        # too; lam holds NaN for the trials of todo not yet solved.
-        solve(stacks[-1:], floor)
-        lowest = np.fmin.reduce(lam[trial[todo]], initial=np.inf)
-        solve(stacks[:-1], max(min(floor, lowest), -tol))
+            for members, (stack_lam, stack_refutes) in zip(group, results):
+                lam[members], refutes[members] = stack_lam, stack_refutes
+            floor = max(min(floor, np.fmin.reduce(lam, initial=np.inf)), -tol)
+        shape_lam[shape[own & fixed]] = lam[own & fixed]
+        lam[fixed] = shape_lam[shape[fixed]]
 
         # Read the outcomes in trial order, up to the first refuting trial.
-        reads = source[trial]
-        hits = np.flatnonzero(refutes[reads])
+        hits = np.flatnonzero(refutes)
         run = int(hits[0]) + 1 if len(hits) else len(ks)
-        seen = lam[reads[:run]]
+        seen, own = lam[:run], own[:run]
+        skipped += int(np.isnan(seen).sum())
+        solved += int((own & ~np.isnan(seen)).sum())
+        eigensolves += int((own & (seen < np.inf)).sum())
         seen = np.where(np.isnan(seen), np.inf, seen)  # a skipped trial holds no minimum
         best = int(np.argmin(seen))
         if seen[best] < global_min:
@@ -398,9 +400,6 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         if len(hits):
             trials_run, refutation = start + run, points_of([run - 1])[0]
 
-    # The counters, read from the table over the trials run.
-    own = lam[:trials_run][source[:trials_run] == np.arange(trials_run)]
-    skipped = int(np.isnan(lam[source[:trials_run]]).sum())
     verdict = "certified" if profile.t_max is None else "inconclusive"
     points, witness = global_min_pts, None
     if refutation is not None:
@@ -418,6 +417,6 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         witness=witness,
         trials_run=trials_run,
         trials_skipped=skipped,
-        configurations_solved=int((~np.isnan(own)).sum()),
-        eigensolves=int((own < np.inf).sum()),
+        configurations_solved=solved,
+        eigensolves=eigensolves,
     )

@@ -704,6 +704,25 @@ class TestCertify:
         assert report.points.shape == (919, 2)
         assert peak <= 3 * 8 * max(sizes) ** 2
 
+    def test_memory_does_not_follow_trials_requested(self):
+        # The triangle in R^2 is refuted at trial 13, in the first batch,
+        # whatever the number of trials requested: a call holds one batch's
+        # outcomes, never an array sized by trials (170.7 MB at 10**7 when
+        # the outcomes were one table per call).
+        reports, peaks = [], []
+        for trials in (2000, 10**7):
+            tracemalloc.start()
+            try:
+                reports.append(certify_psd(catalog_profile("triangle"), dim=2, trials=trials,
+                                           k_max=64, seed=1938))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert reports[0].refuted and reports[0].trials_run == 13
+        assert report_fields(reports[1]) == report_fields(reports[0])
+        assert reports[1].eigensolves == reports[0].eigensolves
+        assert peaks[1] <= peaks[0] + 2**20
+
     def test_planar_size_fixes_its_shape(self):
         # fixed-span lattices are reused by (size, planar?): the grid
         # m1 = isqrt(k), m2 = k // m1 of m1 * m2 points is rebuilt from its size
