@@ -82,10 +82,6 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_certify(args) -> tuple[dict, bool, str]:
-    need = 3 * 8 * args.kmax**2  # bytes of one configuration of k_max points
-    if need > psd.CONFIG_BYTES:
-        raise ValueError(f"--kmax {args.kmax} needs {need} bytes for one configuration, "
-                         f"over the {psd.CONFIG_BYTES}-byte limit")
     profile = profiles.resolve_profile(args.profile)
     report = psd.certify_psd(profile, dim=args.dim, trials=args.trials,
                              k_max=args.kmax, tol=args.tol, seed=args.seed,

@@ -41,10 +41,11 @@ _BOX_HALFWIDTH = 3.0
 # no faster than 8 and held ~3 MB more peak RSS.
 _BATCH_CAP = 8
 
-# Most bytes one configuration's arrays may take: solving a stack of one
-# k-point configuration holds at most three k x k float arrays at once, and
-# the certify command refuses a --kmax with 3 * 8 * k_max**2 above this
-# before the first draw (--kmax 6688 at most; 1500 needs 54 MB).
+# Most bytes a stack's arrays may take: solving a stack of B configurations
+# padded to K points holds at most three B x K x K float arrays at once,
+# 3 * 8 * B * K**2 bytes. certify_psd refuses a k_max whose one configuration
+# exceeds this before the first draw (k_max 6688 at most; 1500 needs 54 MB)
+# and cuts every stack into pieces that fit.
 CONFIG_BYTES = 2**30
 
 # certify_psd evaluates the configurations of a batch whose point counts k
@@ -245,17 +246,22 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
     axes: box rows are taken from the batch's box points, and a lattice is
     the unit lattice of its trial's (m1, m2) times its span, with exact
     zeros past axis 1. No array is sized by k_max but one entry per lattice
-    shape. Each stack takes one distance, one profile and one Cholesky
-    evaluation (``_solve_stack``). A Gram matrix is eigen-solved only when
-    ``_screen`` cannot place it above max(m, -tol), where it could neither
-    refute nor hold the minimum. A batch solves its largest size class
-    first, with m the minimum of the earlier batches (+inf before the
-    first, where the screen is not run), then its other stacks with m the
-    lower of that and the largest stack's minimum. That is sound for any m
-    the search computed: if m's trial is counted, a matrix above m is not
-    the minimum, and if it comes after the batch's first refuting trial,
-    that refuter is below -tol. A matrix the screen does not pass is solved
-    unpadded, so every lambda_min is what solving its matrix alone gives.
+    shape. A stack of B configurations padded to K points holds at most
+    3 * 8 * B * K**2 bytes: a k_max whose one configuration needs more than
+    ``CONFIG_BYTES`` is a ValueError before the first draw, and a size
+    class over it is cut into pieces under it, each solved as a stack of
+    its own, which moves no result. Each stack takes one distance, one
+    profile and one Cholesky evaluation (``_solve_stack``). A Gram matrix
+    is eigen-solved only when ``_screen`` cannot place it above max(m,
+    -tol), where it could neither refute nor hold the minimum. A batch
+    solves every piece of its largest size class first, with m the minimum
+    of the earlier batches (+inf before the first, where the screen is not
+    run), then its other stacks with m the lower of that and the largest
+    class's minimum. That is sound for any m the search computed: if m's
+    trial is counted, a matrix above m is not the minimum, and if it comes
+    after the batch's first refuting trial, that refuter is below -tol. A
+    matrix the screen does not pass is solved unpadded, so every lambda_min
+    is what solving its matrix alone gives.
     Results are identical for any ``threads``.
 
     Outcomes stay in their batch: lambda_min and whether it refutes, for at
@@ -284,6 +290,9 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
         raise ValueError("trials must be >= 1")
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
+    if 3 * 8 * k_max**2 > CONFIG_BYTES:
+        raise ValueError(f"k_max {k_max} needs {3 * 8 * k_max**2} bytes for one configuration, "
+                         f"over the {CONFIG_BYTES}-byte limit")
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     if not 0.0 <= tol < np.inf:
@@ -370,12 +379,18 @@ def certify_psd(profile: RadialProfile, dim: int, trials: int = 1000,
 
         # Stacks are keyed by size class. Distinct keys are found by counting,
         # not sorting: np.unique here raised a certify call's peak RSS by
-        # 1.6-2 MB, the numpy sort code it pages in.
+        # 1.6-2 MB, the numpy sort code it pages in. Each size class is cut
+        # into pieces of at most CONFIG_BYTES by the 3 * 8 * B * K**2 count,
+        # K the class's largest point count.
         stack_of = -(-npts[todo] // _SIZE_CLASS)
-        stacks = [todo[stack_of == key] for key in np.flatnonzero(np.bincount(stack_of))]
+        stacks = []  # per size class, its pieces
+        for key in np.flatnonzero(np.bincount(stack_of)):
+            members = todo[stack_of == key]
+            step = max(1, CONFIG_BYTES // (3 * 8 * int(npts[members].max()) ** 2))
+            stacks.append([members[i:i + step] for i in range(0, len(members), step)])
 
         # The largest size class first, then the others against its minimum too.
-        for group in (stacks[-1:], stacks[:-1]):
+        for group in (sum(stacks[-1:], []), sum(stacks[:-1], [])):
             results = parallel_map(
                 lambda s: _solve_stack(profile, f0, tol, floor, points_of(group[s]),
                                        npts[group[s]]),

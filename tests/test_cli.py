@@ -83,12 +83,15 @@ class TestCertify:
 
     def test_kmax_past_one_configurations_limit_is_a_usage_error(self, capsys, monkeypatch):
         # one configuration of k_max points holds three k_max x k_max float
-        # arrays; past psd.CONFIG_BYTES the run is refused before any draw
-        monkeypatch.setattr(psd, "certify_psd", None)  # not reached
+        # arrays; past psd.CONFIG_BYTES certify_psd refuses the run before any draw
+        def no_draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(psd, "substream", no_draw)
         for kmax in ("6689", "100000"):
             code, payload, err = run_cli(capsys, "certify", "gaussian", "--kmax", kmax)
             assert (code, payload) == (1, None)
-            assert err.startswith(f"error: --kmax {kmax} ") and str(psd.CONFIG_BYTES) in err
+            assert err.startswith(f"error: k_max {kmax} ") and str(psd.CONFIG_BYTES) in err
         monkeypatch.undo()
         assert 3 * 8 * 6688**2 <= psd.CONFIG_BYTES
         code, payload, _ = run_cli(capsys, "certify", "gaussian", "--dim", "1", "--kmax", "1500",

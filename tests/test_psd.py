@@ -723,6 +723,47 @@ class TestCertify:
         assert reports[1].eigensolves == reports[0].eigensolves
         assert peaks[1] <= peaks[0] + 2**20
 
+    def test_refuses_k_max_past_config_bytes(self, monkeypatch):
+        # one configuration of k_max points holds three k_max x k_max float
+        # arrays; past CONFIG_BYTES (k_max 6689) the call is refused before
+        # any draw
+        def no_draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(psd, "substream", no_draw)
+        assert 3 * 8 * 6688**2 <= psd.CONFIG_BYTES < 3 * 8 * 6689**2
+        with pytest.raises(ValueError, match=f"k_max 6689 .*{psd.CONFIG_BYTES}-byte limit"):
+            certify_psd(catalog_profile("gaussian"), dim=2, k_max=6689)
+
+    def test_stacks_fit_config_bytes(self, monkeypatch):
+        # A size class is cut into pieces of at most CONFIG_BYTES by the
+        # 3 * 8 * B * K**2 count, which moves no result, eigensolves
+        # included. The unpatched call comes first: a process's first certify
+        # call traces ~0.75 MB more. With pieces of at most three 64-point
+        # members the peak measured 0.8 MB; uncut, the largest stack counted
+        # 3.4 MB and the peak ~3 MB.
+        f = catalog_profile("gaussian")
+        reference = certify_psd(f, dim=5, trials=2000, k_max=64, seed=1938)
+        built = []
+        solve = psd._solve_stack
+
+        def recording(profile, f0, tol, floor, points, sizes):
+            built.append(points.shape[:2])
+            return solve(profile, f0, tol, floor, points, sizes)
+
+        monkeypatch.setattr(psd, "_solve_stack", recording)
+        monkeypatch.setattr(psd, "CONFIG_BYTES", 3 * 3 * 8 * 64**2)
+        tracemalloc.start()
+        try:
+            report = certify_psd(f, dim=5, trials=2000, k_max=64, seed=1938)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(3 * 8 * b * k**2 for b, k in built) <= psd.CONFIG_BYTES
+        assert report_fields(report) == report_fields(reference)
+        assert report.eigensolves == reference.eigensolves
+        assert peak <= psd.CONFIG_BYTES + 2**20
+
     def test_planar_size_fixes_its_shape(self):
         # fixed-span lattices are reused by (size, planar?): the grid
         # m1 = isqrt(k), m2 = k // m1 of m1 * m2 points is rebuilt from its size
